@@ -15,6 +15,13 @@ one-dimensional kernel spanned by (I1, -I2) (both constraint blocks fix
 the same total trace), which is deflated exactly. Strict dual feasibility
 always holds at the start Y = (I1, I2), Z = 2I - P_X >= I.
 
+The Schur entries <G_a, X G_b Z^-1>, with G = E (x) I or I (x) E, are
+contracted straight from X and Z^-1 viewed as (d1, d2, d1, d2) tensors, one
+block per pair of constraint families, and then mapped onto the real Herm
+basis; no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
+memory per iteration for d1 = d2 = d. X and Z are Cholesky-factored once per
+iterate; the inverse factors give Z^-1 and all four step-length tests.
+
 Strict primal feasibility fails outright when a marginal is rank-deficient:
 every feasible X is then confined to supp(rho1) (x) supp(rho2), the central
 path degenerates, and the raw iteration stalls or breaks down. Such
@@ -144,26 +151,62 @@ def _hunvec(x: np.ndarray, n: int, iu) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _eye(n: int) -> np.ndarray:
+    """Read-only real identity of order n, shared by every caller."""
+    e = np.eye(n)
+    e.flags.writeable = False
+    return e
+
+
+@lru_cache(maxsize=32)
 def _schur_data(d1: int, d2: int):
-    """Cached per-dimension data: the stacked Phi*(basis) tensor, the
-    triangular index maps, and the normalized kernel direction."""
+    """Cached per-dimension data: the Herm(d1) and Herm(d2) bases as rows
+    over the matrix units (row a is basis element a, flattened), the
+    triangular index maps, and the normalized kernel direction.
+
+    No stacked Phi*(basis) tensor is kept: _schur contracts X and Z^-1
+    directly, in O(d^6) time and O(d^4) memory per iteration for
+    d1 = d2 = d, and these bases are its only cached input."""
     basis1, iu1 = _herm_basis(d1)
     basis2, iu2 = _herm_basis(d2)
-    i1 = np.eye(d1, dtype=np.complex128)
-    i2 = np.eye(d2, dtype=np.complex128)
-    gs = np.concatenate(
-        [
-            np.stack([np.kron(e, i2) for e in basis1]),
-            np.stack([np.kron(i1, e) for e in basis2]),
-        ]
-    )
-    kernel = np.concatenate([_hvec(i1, iu1), -_hvec(i2, iu2)])
+    kernel = np.concatenate([_hvec(_eye(d1), iu1), -_hvec(_eye(d2), iu2)])
     kernel /= np.linalg.norm(kernel)
-    return gs, iu1, iu2, kernel
+    return basis1.reshape(d1 * d1, d1 * d1), basis2.reshape(d2 * d2, d2 * d2), iu1, iu2, kernel
+
+
+def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Schur matrix Re<G_a, X G_b Z^-1> over the Herm(d1) (+) Herm(d2) basis,
+    with G_a = E_a (x) I on the first block and I (x) E_a on the second.
+
+    In the matrix-unit basis each block is one contraction of X and Z^-1
+    viewed as (d1, d2, d1, d2) tensors; e.g. tr((e_ij (x) I) X (e_pr (x) I)
+    Z^-1) = sum_kq X[j,k,p,q] Z^-1[r,q,i,k]. Each contraction runs as one
+    matrix product of regrouped copies of X and Z^-1. The second
+    off-diagonal block is the transpose of the first because X and Z^-1 are
+    Hermitian.
+    """
+    t1, t2, _, _, _ = _schur_data(d1, d2)
+    xt = x.reshape(d1, d2, d1, d2)
+    wt = zinv.reshape(d1, d2, d1, d2)
+    n1, n2, d = d1 * d1, d2 * d2, d1 * d2
+    # c11[(j,p),(r,i)], c12[(j,q),(i,s)], c22[(l,q),(k,s)], each summed over
+    # the two indices on which the pair of G's acts as the identity
+    c11 = xt.transpose(0, 2, 1, 3).reshape(n1, n2) @ wt.transpose(3, 1, 0, 2).reshape(n2, n1)
+    c12 = xt.transpose(0, 3, 1, 2).reshape(d, d) @ wt.transpose(3, 0, 2, 1).reshape(d, d)
+    c22 = xt.transpose(1, 3, 0, 2).reshape(n2, n1) @ wt.transpose(2, 0, 3, 1).reshape(n1, n2)
+    m11 = c11.reshape(d1, d1, d1, d1).transpose(3, 0, 1, 2).reshape(n1, n1)
+    m12 = c12.reshape(d1, d2, d1, d2).transpose(2, 0, 1, 3).reshape(n1, n2)
+    m22 = c22.reshape(d2, d2, d2, d2).transpose(2, 0, 1, 3).reshape(n2, n2)
+    schur = np.empty((n1 + n2, n1 + n2))
+    schur[:n1, :n1] = (t1 @ m11 @ t1.T).real
+    schur[:n1, n1:] = (t1 @ m12 @ t2.T).real
+    schur[n1:, :n1] = schur[:n1, n1:].T
+    schur[n1:, n1:] = (t2 @ m22 @ t2.T).real
+    return (schur + schur.T) / 2.0
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _phi(x: np.ndarray, d1: int, d2: int):
@@ -172,23 +215,31 @@ def _phi(x: np.ndarray, d1: int, d2: int):
 
 
 def _phi_star(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    return np.kron(y1, np.eye(y2.shape[0])) + np.kron(np.eye(y1.shape[0]), y2)
+    """Y1 (x) I + I (x) Y2, formed by broadcasting over (d1, d2, d1, d2)."""
+    d1, d2 = y1.shape[0], y2.shape[0]
+    t = y1[:, None, :, None] * _eye(d2)[:, None, :] + _eye(d1)[:, None, :, None] * y2[:, None, :]
+    return t.reshape(d1 * d2, d1 * d2)
 
 
-def _step_len(s: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with s + alpha*d PSD, for s strictly positive definite."""
+def _inv_factors(s: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factors L^-1 (with S = L L^H) of a stack of strictly
+    positive-definite matrices."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        # s grazed the boundary through roundoff; nudge and retry once
-        n = s.shape[0]
-        chol = np.linalg.cholesky(s + (1e-14 * abs(np.trace(s)) / n + 1e-300) * np.eye(n))
-    w = np.linalg.solve(chol, d)
-    w = np.linalg.solve(chol, w.conj().T).conj().T
-    lam = float(np.linalg.eigvalsh(_herm(w))[0])
-    if lam >= -1e-16:
-        return _BIG_STEP
-    return -1.0 / lam
+        # a matrix grazed the boundary through roundoff; nudge and retry once
+        n = s.shape[-1]
+        shift = 1e-14 * np.abs(np.trace(s, axis1=-2, axis2=-1)) / n + 1e-300
+        chol = np.linalg.cholesky(s + shift[:, None, None] * np.eye(n))
+    return np.linalg.inv(chol)
+
+
+def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
+    """Largest alphas with X + alpha*dX and Z + alpha*dZ PSD, given the
+    stacked inverse Cholesky factors of X and Z."""
+    w = linv @ np.stack([dx, dz]) @ linv.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(_herm(w))[:, 0]
+    return [_BIG_STEP if v >= -1e-16 else -1.0 / v for v in lam.tolist()]
 
 
 def _newton_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -282,9 +333,8 @@ def _solve_core(
     """
     d = d1 * d2
     t = float(np.trace(b1).real)
-    gs, iu1, iu2, kernel = _schur_data(d1, d2)
-    m = gs.shape[0]
-    gs_flat = gs.reshape(m, d * d)
+    _, _, iu1, iu2, kernel = _schur_data(d1, d2)
+    m = kernel.size
     eye = np.eye(d, dtype=np.complex128)
 
     x = 0.9 / t * np.kron(b1, b2) + 0.1 * t / d * eye
@@ -296,74 +346,78 @@ def _solve_core(
         return np.concatenate([_hvec(h1, iu1), _hvec(h2, iu2)])
 
     def snapshot(iters):
-        return SdpSolution(
-            x.copy(), y1.copy(), y2.copy(), pval, dval, gap, pres, dres, iters
-        )
+        # the loop rebinds x, y1, y2 and never writes into them
+        return SdpSolution(x, y1, y2, pval, dval, gap, pres, dres, iters)
 
     best = None
     best_score = np.inf
-    for it in range(max_iter + 1):
-        p1, p2 = _phi(x, d1, d2)
-        rp1 = b1 - p1
-        rp2 = b2 - p2
-        rd = a + z - _phi_star(y1, y2)
-        mu = float(np.vdot(x, z).real) / d
-        pres = math.hypot(np.linalg.norm(rp1), np.linalg.norm(rp2))
-        dres = float(np.linalg.norm(rd))
-        pval = float(np.vdot(a, x).real)
-        dval = float(np.vdot(b1, y1).real + np.vdot(b2, y2).real)
-        gap = abs(dval - pval)
-        score = max(gap, pres, dres)
-        if score < best_score:
-            best_score = score
-            best = snapshot(it)
-        if gap <= eps and pres <= eps and dres <= eps:
-            return snapshot(it)
-        if it == max_iter:
-            break
+    try:
+        for it in range(max_iter + 1):
+            p1, p2 = _phi(x, d1, d2)
+            rp1 = b1 - p1
+            rp2 = b2 - p2
+            rd = a + z - _phi_star(y1, y2)
+            mu = float(np.vdot(x, z).real) / d
+            pres = math.hypot(np.linalg.norm(rp1), np.linalg.norm(rp2))
+            dres = float(np.linalg.norm(rd))
+            pval = float(np.vdot(a, x).real)
+            dval = float(np.vdot(b1, y1).real + np.vdot(b2, y2).real)
+            gap = abs(dval - pval)
+            score = max(gap, pres, dres)
+            if score < best_score:
+                best_score = score
+                best = snapshot(it)
+            if gap <= eps and pres <= eps and dres <= eps:
+                return snapshot(it)
+            if it == max_iter:
+                break
 
-        zinv = _herm(np.linalg.inv(z))
-        ps = np.matmul(x, np.matmul(gs, zinv))
-        schur = (gs_flat @ ps.transpose(0, 2, 1).reshape(m, d * d).T).real
-        schur = (schur + schur.T) / 2.0
-        deflate = max(1.0, float(np.trace(schur)) / m)
-        schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
+            linv = _inv_factors(np.stack([x, z]))
+            zinv = _herm(linv[1].conj().T @ linv[1])
+            schur = _schur(x, zinv, d1, d2)
+            deflate = max(1.0, float(np.trace(schur)) / m)
+            schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
 
-        # affine (predictor) direction: sigma = 0, no correction term
-        xrd = x @ rd
-        w = _herm(xrd @ zinv)
-        w1, w2 = _phi(w, d1, d2)
-        dy = _newton_solve(schur, pair_vec(w1 - b1, w2 - b2))
-        dy1a = _hunvec(dy[: d1 * d1], d1, iu1)
-        dy2a = _hunvec(dy[d1 * d1 :], d2, iu2)
-        dza = _phi_star(dy1a, dy2a) - rd
-        dxa = -x - _herm((x @ dza) @ zinv)
-        ap_aff = min(1.0, _step_len(x, dxa))
-        ad_aff = min(1.0, _step_len(z, dza))
-        mu_aff = max(
-            0.0, float(np.vdot(x + ap_aff * dxa, z + ad_aff * dza).real) / d
-        )
-        sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) if mu > 0 else _SIGMA_MAX
+            # affine (predictor) direction: sigma = 0, no correction term
+            xrd = x @ rd
+            w = _herm(xrd @ zinv)
+            w1, w2 = _phi(w, d1, d2)
+            dy = _newton_solve(schur, pair_vec(w1 - b1, w2 - b2))
+            dy1a = _hunvec(dy[: d1 * d1], d1, iu1)
+            dy2a = _hunvec(dy[d1 * d1 :], d2, iu2)
+            dza = _phi_star(dy1a, dy2a) - rd
+            dxa = -x - _herm((x @ dza) @ zinv)
+            ap_aff, ad_aff = (min(1.0, s) for s in _step_len(linv, dxa, dza))
+            mu_aff = max(
+                0.0, float(np.vdot(x + ap_aff * dxa, z + ad_aff * dza).real) / d
+            )
+            sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) if mu > 0 else _SIGMA_MAX
 
-        # combined (corrector) direction
-        corr = dxa @ dza
-        w = _herm((xrd - corr) @ zinv)
-        w1, w2 = _phi(w, d1, d2)
-        zi1, zi2 = _phi(zinv, d1, d2)
-        rhs1 = sigma * mu * zi1 - b1 + w1
-        rhs2 = sigma * mu * zi2 - b2 + w2
-        dy = _newton_solve(schur, pair_vec(rhs1, rhs2))
-        dy1 = _hunvec(dy[: d1 * d1], d1, iu1)
-        dy2 = _hunvec(dy[d1 * d1 :], d2, iu2)
-        dz = _phi_star(dy1, dy2) - rd
-        dx = sigma * mu * zinv - x - _herm((corr + x @ dz) @ zinv)
+            # combined (corrector) direction
+            corr = dxa @ dza
+            w = _herm((xrd - corr) @ zinv)
+            w1, w2 = _phi(w, d1, d2)
+            zi1, zi2 = _phi(zinv, d1, d2)
+            rhs1 = sigma * mu * zi1 - b1 + w1
+            rhs2 = sigma * mu * zi2 - b2 + w2
+            dy = _newton_solve(schur, pair_vec(rhs1, rhs2))
+            dy1 = _hunvec(dy[: d1 * d1], d1, iu1)
+            dy2 = _hunvec(dy[d1 * d1 :], d2, iu2)
+            dz = _phi_star(dy1, dy2) - rd
+            dx = sigma * mu * zinv - x - _herm((corr + x @ dz) @ zinv)
 
-        ap = min(1.0, _BOUNDARY * _step_len(x, dx))
-        ad = min(1.0, _BOUNDARY * _step_len(z, dz))
-        x = _herm(x + ap * dx)
-        y1 = _herm(y1 + ad * dy1)
-        y2 = _herm(y2 + ad * dy2)
-        z = _herm(z + ad * dz)
+            ap, ad = (min(1.0, _BOUNDARY * s) for s in _step_len(linv, dx, dz))
+            x = _herm(x + ap * dx)
+            y1 = _herm(y1 + ad * dy1)
+            y2 = _herm(y2 + ad * dy2)
+            z = _herm(z + ad * dz)
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(
+            f"interior-point linear algebra broke down at iteration {it} ({err}); "
+            f"best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
+            f"{best.dual_residual:.3e}",
+            best,
+        ) from err
 
     raise SolverFailure(
         f"interior-point solve did not reach {eps:.1e} within {max_iter} iterations "

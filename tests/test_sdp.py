@@ -86,10 +86,30 @@ def test_schur_kernel_direction_annihilates():
     # the adjoint's one-dimensional kernel is span{(I, -I)}; the cached unit
     # vector must reproduce it exactly in basis coordinates
     for d1, d2 in [(2, 2), (2, 3), (3, 3)]:
-        gs, _, _, kernel = sdp._schur_data(d1, d2)
-        combo = np.einsum("k,kij->ij", kernel, gs)
-        assert np.linalg.norm(combo) < 1e-13
+        _, _, iu1, iu2, kernel = sdp._schur_data(d1, d2)
+        k1 = sdp._hunvec(kernel[: d1 * d1], d1, iu1)
+        k2 = sdp._hunvec(kernel[d1 * d1 :], d2, iu2)
+        assert np.linalg.norm(sdp._phi_star(k1, k2)) < 1e-13
         assert np.linalg.norm(kernel) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
+def test_schur_matches_dense_kron_reference(d1, d2):
+    # reference: Re tr(G_a X G_b Z^-1) with every basis operator G built
+    # explicitly as E (x) I or I (x) E
+    rng = np.random.default_rng(12)
+    d = d1 * d2
+    x = rand_density(rng, d).mat + 0.1 * np.eye(d)
+    z = rand_density(rng, d).mat + 0.1 * np.eye(d)
+    zinv = np.linalg.inv(z)
+    zinv = (zinv + zinv.conj().T) / 2.0
+    basis1, _ = sdp._herm_basis(d1)
+    basis2, _ = sdp._herm_basis(d2)
+    gs = [np.kron(e, np.eye(d2)) for e in basis1] + [np.kron(np.eye(d1), e) for e in basis2]
+    ref = np.array([[np.trace(ga @ x @ gb @ zinv).real for gb in gs] for ga in gs])
+    got = sdp._schur(x, zinv, d1, d2)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +190,33 @@ def test_solver_failure_carries_best_iterate():
     assert best is not None
     assert best.iterations <= 2
     assert best.primal_x.shape == (4, 4)
+
+
+def _near_singular(rng, d, eps):
+    u = rand_unitary(rng, d)
+    m = (u * np.array([1.0] + [eps] * (d - 1))) @ u.conj().T
+    return DensityOperator(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_near_singular_marginals_decide_or_fail_cleanly(eps):
+    # marginals U diag(1, eps, eps) U^dagger sit between the support cut and
+    # the well-conditioned regime; no raw LinAlgError may escape, and every
+    # verdict must carry a proof object that re-verifies
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        rho1 = _near_singular(rng, 3, eps)
+        rho2 = _near_singular(rng, 3, eps)
+        problem = CouplingProblem(rho1, rho2, rand_subspace(rng, 9, int(rng.integers(1, 10))))
+        try:
+            verdict = sdp.check_quantum_lifting(problem)
+        except SolverFailure as err:
+            assert err.best is not None
+            continue
+        if verdict.exists:
+            assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+        else:
+            assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
 
 
 def test_solve_rejects_trace_mismatch_and_zero_trace():
