@@ -43,7 +43,6 @@ from .reduction import (
     extract_joint,
 )
 from .sdp import (
-    CouplingSDP,
     LiftingVerdict,
     SdpSolution,
     check_quantum_lifting,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalVerdict",
     "CouplingProblem",
-    "CouplingSDP",
     "DensityOperator",
     "EmbeddingReport",
     "InputError",

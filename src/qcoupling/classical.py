@@ -53,10 +53,6 @@ def check_joint(weights) -> list[list]:
     return rows
 
 
-def total(weights) -> object:
-    return sum(weights)
-
-
 def is_exact(*weight_lists) -> bool:
     """True when every weight is rational (int or Fraction), enabling exact mode."""
     return all(
@@ -258,7 +254,7 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     m, n = relation.m, relation.n
     if len(mu1) != m or len(mu2) != n:
         raise InputError("distribution sizes do not match the relation")
-    t1, t2 = total(mu1), total(mu2)
+    t1, t2 = sum(mu1), sum(mu2)
     if abs(t1 - t2) > 1e-9:
         raise InputError(
             f"total weights differ (|mu1| = {t1}, |mu2| = {t2}); no coupling can exist"

@@ -12,6 +12,7 @@ count), 1 bad input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _threshold(text: str) -> float:
+    """argparse type of the solver and verifier thresholds: finite and > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcoupling", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,9 +46,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
     def add_quantum_eps(p):
-        p.add_argument("--eps-solve", type=float, default=sdp.EPS_SOLVE,
+        p.add_argument("--eps-solve", type=_threshold, default=sdp.EPS_SOLVE,
                        help="target duality gap and residuals (default 1e-8)")
-        p.add_argument("--eps-decide", type=float, default=sdp.EPS_DECIDE,
+        p.add_argument("--eps-decide", type=_threshold, default=sdp.EPS_DECIDE,
                        help="decision threshold on tr(rho1) - optimum (default 1e-6)")
 
     p = sub.add_parser("check-lifting", help="decide quantum lifting existence")
@@ -47,8 +56,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho2", required=True, metavar="FILE")
     p.add_argument("--subspace", required=True, metavar="FILE")
     add_quantum_eps(p)
-    p.add_argument("--tol", type=float, default=quantum.DEFAULT_TOL,
-                   help="unused here; accepted for flag uniformity")
     add_common(p)
 
     p = sub.add_parser("classical-check", help="decide classical lifting existence")
@@ -64,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho1", required=True, metavar="FILE")
     p.add_argument("--rho2", required=True, metavar="FILE")
     p.add_argument("--subspace", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=quantum.DEFAULT_TOL)
+    p.add_argument("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
     add_common(p)
 
     p = sub.add_parser("verify-certificate", help="re-verify a dual certificate")
@@ -73,7 +80,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho1", required=True, metavar="FILE")
     p.add_argument("--rho2", required=True, metavar="FILE")
     p.add_argument("--subspace", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=quantum.DEFAULT_TOL)
+    p.add_argument("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
     add_common(p)
 
     p = sub.add_parser("cross-check", help="compare classical and quantum checkers")

@@ -20,7 +20,14 @@ from .errors import InputError, NumericalError
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-8
+# Support rule (``support_isometry``): keep the eigenvectors whose eigenvalue
+# exceeds cut * lambda_max. RANK_TOL is the cut of the public ``support``:
+# directions that small count as absent from a state. SUPPORT_CUT is the cut
+# at which the lifting solver compresses a marginal to its support; it is
+# far below RANK_TOL so that only machine-level zeros, which break the
+# interior-point path, trigger the compressed solve.
 RANK_TOL = 1e-9
+SUPPORT_CUT = 1e-13
 SPAN_DROP_TOL = 1e-9
 
 _JACOBI_MAX_SWEEPS = 100
@@ -33,8 +40,8 @@ def as_matrix(a) -> np.ndarray:
         m = np.array(a, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InputError(f"not interpretable as a complex matrix: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise InputError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix entries must be finite")
     return m
@@ -53,7 +60,13 @@ def hermitize(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise InputError(
             f"matrix is not Hermitian: anti-Hermitian part has norm {skew:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return herm(m)
+
+
+def herm(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M^dagger)/2 of a matrix or a stack of matrices:
+    the unvalidated kernel for trusted data (``hermitize`` checks input)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,12 +85,17 @@ def partial_trace(m: np.ndarray, d1: int, d2: int, side: str) -> np.ndarray:
         raise InputError(
             f"dimension mismatch: matrix of dim {m.shape[0]} is not {d1}x{d2} composite"
         )
-    t = m.reshape(d1, d2, d1, d2)
-    if side == "first":
-        return np.einsum("ikil->kl", t)
-    if side == "second":
-        return np.einsum("ikjk->ij", t)
-    raise InputError(f"side must be 'first' or 'second', got {side!r}")
+    if side not in ("first", "second"):
+        raise InputError(f"side must be 'first' or 'second', got {side!r}")
+    tr2, tr1 = partial_traces(m, d1, d2)
+    return tr1 if side == "first" else tr2
+
+
+def partial_traces(x: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both partial traces (tr_2(X), tr_1(X)) of a (d1*d2)-square X: the
+    unvalidated kernel for trusted data (``partial_trace`` checks input)."""
+    t = x.reshape(d1, d2, d1, d2)
+    return np.einsum("ikjk->ij", t), np.einsum("ikil->kl", t)
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -263,15 +281,15 @@ class Subspace:
         return cls(dim, np.zeros((dim, dim), dtype=np.complex128))
 
 
+def support_isometry(h: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Isometry onto the eigenvectors of trusted Hermitian h with eigenvalue
+    > rank_tol * lambda_max (no columns when lambda_max <= 0)."""
+    w, v = np.linalg.eigh(h)
+    keep = w > rank_tol * max(float(w[-1]), 0.0)
+    return np.ascontiguousarray(v[:, keep])
+
+
 def support(rho: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:
     """Span of the eigenvectors of PSD rho with eigenvalue > rank_tol * lambda_max."""
-    s = hermitian_eig(rho)
-    d = s.eigenvalues.size
-    lam_max = float(s.eigenvalues[0]) if d else 0.0
-    if lam_max <= 0.0:
-        return Subspace.zero(d)
-    keep = s.eigenvalues > rank_tol * lam_max
-    if not np.any(keep):
-        return Subspace.zero(d)
-    vmat = s.eigenvectors[:, keep]
-    return Subspace(d, vmat @ vmat.conj().T)
+    v = support_isometry(hermitize(rho), rank_tol)
+    return Subspace(v.shape[0], v @ v.conj().T)

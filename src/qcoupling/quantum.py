@@ -75,9 +75,8 @@ def marginal_deviation(
     d1, d2 = rho1.dim, rho2.dim
     if rho.dim != d1 * d2:
         raise InputError(f"coupling dim {rho.dim} != d1*d2 = {d1 * d2}")
-    first = np.linalg.norm(linalg.partial_trace(rho.mat, d1, d2, "second") - rho1.mat)
-    second = np.linalg.norm(linalg.partial_trace(rho.mat, d1, d2, "first") - rho2.mat)
-    return float(first), float(second)
+    tr2, tr1 = linalg.partial_traces(rho.mat, d1, d2)
+    return float(np.linalg.norm(tr2 - rho1.mat)), float(np.linalg.norm(tr1 - rho2.mat))
 
 
 def is_coupling(

@@ -15,10 +15,16 @@ one-dimensional kernel spanned by (I1, -I2) (both constraint blocks fix
 the same total trace), which is deflated exactly. Strict dual feasibility
 always holds at the start Y = (I1, I2), Z = 2I - P_X >= I.
 
+The dual block has one coordinate system: the cached orthonormal real basis
+of Herm(n) (diagonal, symmetric and antisymmetric units), held as a matrix
+T whose rows are the flattened basis elements. A Hermitian h has
+coordinates Re(conj(T) h.ravel()), and coordinates v give back the matrix
+(T^T v) reshaped to n x n.
+
 The Schur entries <G_a, X G_b Z^-1>, with G = E (x) I or I (x) E, are
 contracted straight from X and Z^-1 viewed as (d1, d2, d1, d2) tensors, one
-block per pair of constraint families, and then mapped onto the real Herm
-basis; no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
+block per pair of constraint families, and then mapped onto the Herm basis;
+no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
 memory per iteration for d1 = d2 = d. X and Z are Cholesky-factored once per
 iterate; the inverse factors give Z^-1 and all four step-length tests.
 
@@ -41,7 +47,6 @@ import numpy as np
 
 from . import linalg, quantum
 from .errors import InputError, SolverFailure
-from .linalg import Subspace
 from .quantum import CouplingProblem, DensityOperator
 
 EPS_SOLVE = 1e-8
@@ -55,33 +60,6 @@ _RIDGE = 1e-12
 _LSTSQ_RCOND = 1e-10
 _SQRT2 = math.sqrt(2.0)
 _BIG_STEP = 1e16
-# relative eigenvalue cutoff below which a marginal direction counts as
-# numerically absent; deliberately far below rank_tol so only machine-level
-# zeros trigger the compressed solve
-_SUPPORT_CUT = 1e-13
-
-
-@dataclass(frozen=True)
-class CouplingSDP:
-    """Assembled problem data: objective A = P_X, marginal targets b1, b2."""
-
-    d1: int
-    d2: int
-    a: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def from_problem(cls, problem: CouplingProblem) -> "CouplingSDP":
-        t1 = problem.rho1.trace
-        t2 = problem.rho2.trace
-        if abs(t1 - t2) > TRACE_MATCH_TOL:
-            raise InputError(
-                f"marginal traces differ ({t1:.12g} vs {t2:.12g}); "
-                "no coupling exists for unequal traces"
-            )
-        d1, d2 = problem.dims
-        return cls(d1, d2, problem.subspace.projector, problem.rho1.mat, problem.rho2.mat)
 
 
 @dataclass(frozen=True)
@@ -114,8 +92,9 @@ class LiftingVerdict:
     diagnostics: SdpSolution
 
 
-def _herm_basis(n: int):
-    """Orthonormal real basis of Herm(n), ordered diag / sym / antisym."""
+def _herm_basis(n: int) -> np.ndarray:
+    """Orthonormal real basis of Herm(n), ordered diag / sym / antisym,
+    stacked as an (n*n, n, n) array."""
     iu = np.triu_indices(n, 1)
     mats = []
     for i in range(n):
@@ -131,23 +110,17 @@ def _herm_basis(n: int):
         e[i, j] = 1j / _SQRT2
         e[j, i] = -1j / _SQRT2
         mats.append(e)
-    return np.stack(mats), iu
+    return np.stack(mats)
 
 
-def _hvec(h: np.ndarray, iu) -> np.ndarray:
-    return np.concatenate(
-        [np.diagonal(h).real, _SQRT2 * h[iu].real, _SQRT2 * h[iu].imag]
-    )
+def _coords(t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coordinates of Hermitian h over the Herm basis whose rows are t."""
+    return (t.conj() @ h.ravel()).real
 
 
-def _hunvec(x: np.ndarray, n: int, iu) -> np.ndarray:
-    h = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(h, x[:n])
-    k = n + iu[0].size
-    off = (x[n:k] + 1j * x[k:]) / _SQRT2
-    h[iu] = off
-    h[(iu[1], iu[0])] = off.conjugate()
-    return h
+def _from_coords(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The n x n Hermitian matrix with coordinates v over the rows of t."""
+    return (t.T @ v).reshape(n, n)
 
 
 @lru_cache(maxsize=32)
@@ -161,17 +134,19 @@ def _eye(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _schur_data(d1: int, d2: int):
     """Cached per-dimension data: the Herm(d1) and Herm(d2) bases as rows
-    over the matrix units (row a is basis element a, flattened), the
-    triangular index maps, and the normalized kernel direction.
+    over the matrix units (row a is basis element a, flattened) and the
+    normalized kernel direction in their coordinates.
 
-    No stacked Phi*(basis) tensor is kept: _schur contracts X and Z^-1
-    directly, in O(d^6) time and O(d^4) memory per iteration for
-    d1 = d2 = d, and these bases are its only cached input."""
-    basis1, iu1 = _herm_basis(d1)
-    basis2, iu2 = _herm_basis(d2)
-    kernel = np.concatenate([_hvec(_eye(d1), iu1), -_hvec(_eye(d2), iu2)])
+    These bases are the only coordinate system of the dual block: _schur
+    maps its contractions through them, and _coords / _from_coords carry
+    every Newton right-hand side and direction. No stacked Phi*(basis)
+    tensor is kept: _schur contracts X and Z^-1 directly, in O(d^6) time
+    and O(d^4) memory per iteration for d1 = d2 = d."""
+    t1 = _herm_basis(d1).reshape(d1 * d1, d1 * d1)
+    t2 = _herm_basis(d2).reshape(d2 * d2, d2 * d2)
+    kernel = np.concatenate([_coords(t1, _eye(d1)), -_coords(t2, _eye(d2))])
     kernel /= np.linalg.norm(kernel)
-    return basis1.reshape(d1 * d1, d1 * d1), basis2.reshape(d2 * d2, d2 * d2), iu1, iu2, kernel
+    return t1, t2, kernel
 
 
 def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -185,7 +160,7 @@ def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
     off-diagonal block is the transpose of the first because X and Z^-1 are
     Hermitian.
     """
-    t1, t2, _, _, _ = _schur_data(d1, d2)
+    t1, t2, _ = _schur_data(d1, d2)
     xt = x.reshape(d1, d2, d1, d2)
     wt = zinv.reshape(d1, d2, d1, d2)
     n1, n2, d = d1 * d1, d2 * d2, d1 * d2
@@ -203,15 +178,6 @@ def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
     schur[n1:, :n1] = schur[:n1, n1:].T
     schur[n1:, n1:] = (t2 @ m22 @ t2.T).real
     return (schur + schur.T) / 2.0
-
-
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _phi(x: np.ndarray, d1: int, d2: int):
-    t = x.reshape(d1, d2, d1, d2)
-    return np.einsum("ikjk->ij", t), np.einsum("ikil->kl", t)
 
 
 def _phi_star(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -238,25 +204,34 @@ def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
     """Largest alphas with X + alpha*dX and Z + alpha*dZ PSD, given the
     stacked inverse Cholesky factors of X and Z."""
     w = linv @ np.stack([dx, dz]) @ linv.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(_herm(w))[:, 0]
+    lam = np.linalg.eigvalsh(linalg.herm(w))[:, 0]
     return [_BIG_STEP if v >= -1e-16 else -1.0 / v for v in lam.tolist()]
 
 
-def _newton_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+    """Solve the Schur system m for the dual direction (dY1, dY2) given the
+    right-hand side pair (r1, r2); both travel in Herm-basis coordinates."""
+    d1, d2 = r1.shape[0], r2.shape[0]
+    t1, t2, _ = _schur_data(d1, d2)
+    rhs = np.concatenate([_coords(t1, r1), _coords(t2, r2)])
     try:
         dy = np.linalg.solve(m, rhs)
         dy += np.linalg.solve(m, rhs - m @ dy)  # one refinement pass
-        return dy
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(m, rhs, rcond=_LSTSQ_RCOND)[0]
+        dy = np.linalg.lstsq(m, rhs, rcond=_LSTSQ_RCOND)[0]
+    return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
 
 
-def _support_isometry(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Isometry onto the numerical range of a PSD matrix, plus dropped mass."""
-    w, v = np.linalg.eigh(_herm(h))
-    keep = w > _SUPPORT_CUT * max(float(w[-1]), 0.0)
-    off = float(np.clip(w[~keep], 0.0, None).sum())
-    return np.ascontiguousarray(v[:, keep]), off
+def _check_traces(problem: CouplingProblem) -> float:
+    """tr(rho1), once it is checked to match tr(rho2)."""
+    t1 = problem.rho1.trace
+    t2 = problem.rho2.trace
+    if abs(t1 - t2) > TRACE_MATCH_TOL:
+        raise InputError(
+            f"marginal traces differ ({t1:.12g} vs {t2:.12g}); "
+            "a coupling forces equal traces"
+        )
+    return t1
 
 
 def solve_coupling_sdp(
@@ -277,29 +252,29 @@ def solve_coupling_sdp(
     residual refers to the compressed system. The primal residual is
     recomputed against the original marginals.
     """
-    sdp = CouplingSDP.from_problem(problem)
-    d1, d2, a, b1, b2 = sdp.d1, sdp.d2, sdp.a, sdp.b1, sdp.b2
-    if float(np.trace(b1).real) <= 0.0:
+    if _check_traces(problem) <= 0.0:
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
-    v1, _ = _support_isometry(b1)
-    v2, _ = _support_isometry(b2)
+    d1, d2 = problem.dims
+    a, b1, b2 = problem.subspace.projector, problem.rho1.mat, problem.rho2.mat
+    v1 = linalg.support_isometry(b1, linalg.SUPPORT_CUT)
+    v2 = linalg.support_isometry(b2, linalg.SUPPORT_CUT)
     r1, r2 = v1.shape[1], v2.shape[1]
     if r1 == d1 and r2 == d2:
         return _solve_core(d1, d2, a, b1, b2, eps, max_iter)
 
     w = np.kron(v1, v2)
-    at = _herm(w.conj().T @ a @ w)
-    bt1 = _herm(v1.conj().T @ b1 @ v1)
-    bt2 = _herm(v2.conj().T @ b2 @ v2)
+    at = linalg.herm(w.conj().T @ a @ w)
+    bt1 = linalg.herm(v1.conj().T @ b1 @ v1)
+    bt2 = linalg.herm(v2.conj().T @ b2 @ v2)
 
     def lift(sol: SdpSolution) -> SdpSolution:
-        x = _herm(w @ sol.primal_x @ w.conj().T)
-        p1, p2 = _phi(x, d1, d2)
+        x = linalg.herm(w @ sol.primal_x @ w.conj().T)
+        p1, p2 = linalg.partial_traces(x, d1, d2)
         pres = math.hypot(np.linalg.norm(b1 - p1), np.linalg.norm(b2 - p2))
         return SdpSolution(
             x,
-            _herm(v1 @ sol.dual_y1 @ v1.conj().T),
-            _herm(v2 @ sol.dual_y2 @ v2.conj().T),
+            linalg.herm(v1 @ sol.dual_y1 @ v1.conj().T),
+            linalg.herm(v2 @ sol.dual_y2 @ v2.conj().T),
             sol.primal_value,
             sol.dual_value,
             sol.gap,
@@ -333,7 +308,7 @@ def _solve_core(
     """
     d = d1 * d2
     t = float(np.trace(b1).real)
-    _, _, iu1, iu2, kernel = _schur_data(d1, d2)
+    kernel = _schur_data(d1, d2)[2]
     m = kernel.size
     eye = np.eye(d, dtype=np.complex128)
 
@@ -341,9 +316,6 @@ def _solve_core(
     y1 = np.eye(d1, dtype=np.complex128)
     y2 = np.eye(d2, dtype=np.complex128)
     z = 2.0 * eye - a
-
-    def pair_vec(h1, h2):
-        return np.concatenate([_hvec(h1, iu1), _hvec(h2, iu2)])
 
     def snapshot(iters):
         # the loop rebinds x, y1, y2 and never writes into them
@@ -353,7 +325,7 @@ def _solve_core(
     best_score = np.inf
     try:
         for it in range(max_iter + 1):
-            p1, p2 = _phi(x, d1, d2)
+            p1, p2 = linalg.partial_traces(x, d1, d2)
             rp1 = b1 - p1
             rp2 = b2 - p2
             rd = a + z - _phi_star(y1, y2)
@@ -373,20 +345,18 @@ def _solve_core(
                 break
 
             linv = _inv_factors(np.stack([x, z]))
-            zinv = _herm(linv[1].conj().T @ linv[1])
+            zinv = linalg.herm(linv[1].conj().T @ linv[1])
             schur = _schur(x, zinv, d1, d2)
             deflate = max(1.0, float(np.trace(schur)) / m)
             schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
 
             # affine (predictor) direction: sigma = 0, no correction term
             xrd = x @ rd
-            w = _herm(xrd @ zinv)
-            w1, w2 = _phi(w, d1, d2)
-            dy = _newton_solve(schur, pair_vec(w1 - b1, w2 - b2))
-            dy1a = _hunvec(dy[: d1 * d1], d1, iu1)
-            dy2a = _hunvec(dy[d1 * d1 :], d2, iu2)
+            w = linalg.herm(xrd @ zinv)
+            w1, w2 = linalg.partial_traces(w, d1, d2)
+            dy1a, dy2a = _newton_solve(schur, w1 - b1, w2 - b2)
             dza = _phi_star(dy1a, dy2a) - rd
-            dxa = -x - _herm((x @ dza) @ zinv)
+            dxa = -x - linalg.herm((x @ dza) @ zinv)
             ap_aff, ad_aff = (min(1.0, s) for s in _step_len(linv, dxa, dza))
             mu_aff = max(
                 0.0, float(np.vdot(x + ap_aff * dxa, z + ad_aff * dza).real) / d
@@ -395,22 +365,20 @@ def _solve_core(
 
             # combined (corrector) direction
             corr = dxa @ dza
-            w = _herm((xrd - corr) @ zinv)
-            w1, w2 = _phi(w, d1, d2)
-            zi1, zi2 = _phi(zinv, d1, d2)
+            w = linalg.herm((xrd - corr) @ zinv)
+            w1, w2 = linalg.partial_traces(w, d1, d2)
+            zi1, zi2 = linalg.partial_traces(zinv, d1, d2)
             rhs1 = sigma * mu * zi1 - b1 + w1
             rhs2 = sigma * mu * zi2 - b2 + w2
-            dy = _newton_solve(schur, pair_vec(rhs1, rhs2))
-            dy1 = _hunvec(dy[: d1 * d1], d1, iu1)
-            dy2 = _hunvec(dy[d1 * d1 :], d2, iu2)
+            dy1, dy2 = _newton_solve(schur, rhs1, rhs2)
             dz = _phi_star(dy1, dy2) - rd
-            dx = sigma * mu * zinv - x - _herm((corr + x @ dz) @ zinv)
+            dx = sigma * mu * zinv - x - linalg.herm((corr + x @ dz) @ zinv)
 
             ap, ad = (min(1.0, _BOUNDARY * s) for s in _step_len(linv, dx, dz))
-            x = _herm(x + ap * dx)
-            y1 = _herm(y1 + ad * dy1)
-            y2 = _herm(y2 + ad * dy2)
-            z = _herm(z + ad * dz)
+            x = linalg.herm(x + ap * dx)
+            y1 = linalg.herm(y1 + ad * dy1)
+            y2 = linalg.herm(y2 + ad * dy2)
+            z = linalg.herm(z + ad * dz)
     except np.linalg.LinAlgError as err:
         raise SolverFailure(
             f"interior-point linear algebra broke down at iteration {it} ({err}); "
@@ -506,10 +474,10 @@ def _complete_dual(
     quarter and whose norm grows like 1/margin.
     """
     d1, d2 = problem.dims
-    yt1 = _herm(v1.conj().T @ sol.dual_y1 @ v1)
-    yt2 = _herm(v2.conj().T @ sol.dual_y2 @ v2)
+    yt1 = linalg.herm(v1.conj().T @ sol.dual_y1 @ v1)
+    yt2 = linalg.herm(v2.conj().T @ sol.dual_y2 @ v2)
     w = np.kron(v1, v2)
-    at = _herm(w.conj().T @ problem.subspace.projector @ w)
+    at = linalg.herm(w.conj().T @ problem.subspace.projector @ w)
     slack = float(
         np.linalg.eigvalsh(
             _phi_star(yt1, yt2) - at
@@ -531,8 +499,8 @@ def _complete_dual(
     big = 1.0 + spec + 2.0 / eta_eff
     q1 = np.eye(d1) - v1 @ v1.conj().T
     q2 = np.eye(d2) - v2 @ v2.conj().T
-    y1 = _herm(v1 @ (yt1 + eta * np.eye(v1.shape[1])) @ v1.conj().T + big * q1)
-    y2 = _herm(v2 @ yt2 @ v2.conj().T + big * q2)
+    y1 = linalg.herm(v1 @ (yt1 + eta * np.eye(v1.shape[1])) @ v1.conj().T + big * q1)
+    y2 = linalg.herm(v2 @ yt2 @ v2.conj().T + big * q2)
     return y1, y2
 
 
@@ -553,13 +521,7 @@ def check_quantum_lifting(
     completed to a full-space feasible pair. The zero state couples with
     itself inside any subspace, via the zero witness.
     """
-    t1 = problem.rho1.trace
-    t2 = problem.rho2.trace
-    if abs(t1 - t2) > TRACE_MATCH_TOL:
-        raise InputError(
-            f"marginal traces differ ({t1:.12g} vs {t2:.12g}); "
-            "a coupling forces equal traces"
-        )
+    t1 = _check_traces(problem)
     d1, d2 = problem.dims
     d = d1 * d2
     if t1 <= TRACE_MATCH_TOL:
@@ -587,8 +549,8 @@ def check_quantum_lifting(
         return LiftingVerdict(True, witness, None, sol)
 
     y1, y2 = sol.dual_y1, sol.dual_y2
-    v1, _ = _support_isometry(problem.rho1.mat)
-    v2, _ = _support_isometry(problem.rho2.mat)
+    v1 = linalg.support_isometry(problem.rho1.mat, linalg.SUPPORT_CUT)
+    v2 = linalg.support_isometry(problem.rho2.mat, linalg.SUPPORT_CUT)
     if v1.shape[1] < d1 or v2.shape[1] < d2:
         y1, y2 = _complete_dual(sol, v1, v2, problem, t1)
     y1, y2 = condition_a_transform(y1, y2)

@@ -312,12 +312,47 @@ def test_unreachable_tolerance_exits_two(tmp_path, capsys):
     rho1, rho2, sub = bell_files(tmp_path)
     rc = cli.run(
         ["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub,
-         "--eps-solve", "0.0"]
+         "--eps-solve", "1e-300"]
     )
     captured = capsys.readouterr()
     assert rc == 2
     assert "numerical failure" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check-lifting", "--eps-solve", "nan"),
+    ("check-lifting", "--eps-solve", "-1"),
+    ("check-lifting", "--eps-solve", "0"),
+    ("check-lifting", "--eps-decide", "-1"),
+    ("check-lifting", "--eps-decide", "inf"),
+    ("verify-witness", "--tol", "nan"),
+    ("verify-witness", "--tol", "-1"),
+    ("verify-certificate", "--tol", "0"),
+    ("verify-certificate", "--tol", "abc"),
+])
+def test_invalid_threshold_exits_one(tmp_path, capsys, command, flag, value):
+    rho1, rho2, sub = bell_files(tmp_path)
+    half = jwrite(tmp_path, "half.json", mat_json(np.eye(2) / 2))
+    extra = {
+        "check-lifting": [],
+        "verify-witness": ["--rho", jwrite(tmp_path, "w.json", mat_json(np.eye(4) / 4))],
+        "verify-certificate": ["--y1", half, "--y2", half],
+    }[command]
+    rc = cli.run([command, *extra, "--rho1", rho1, "--rho2", rho2, "--subspace", sub,
+                  flag, value])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+def test_check_lifting_has_no_tol_flag(tmp_path, capsys):
+    rho1, rho2, sub = bell_files(tmp_path)
+    rc = cli.run(["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub,
+                  "--tol", "1e-6"])
+    assert rc == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_emitted_matrices_reparse_exactly(capsys):

@@ -27,6 +27,8 @@ def test_as_matrix_rejects_bad_shapes_and_values():
         linalg.as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(InputError):
         linalg.as_matrix([[np.inf, 0], [0, 1]])
+    with pytest.raises(InputError):
+        linalg.as_matrix(np.zeros((0, 0)))
 
 
 def test_hermitize_averages_and_rejects_skew():

@@ -31,6 +31,8 @@ def test_density_operator_validates():
         DensityOperator(np.diag([0.8, 0.4]))  # trace 1.2 > 1
     with pytest.raises(InputError):
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(InputError):
+        DensityOperator(np.zeros((0, 0)))  # empty
 
 
 def test_density_operator_accepts_subnormalized():
