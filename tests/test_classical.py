@@ -11,7 +11,7 @@ from qcoupling import classical
 from qcoupling.classical import Relation
 from qcoupling.errors import InputError
 
-from helpers import all_relations, rand_matched_rationals
+from helpers import all_relations, rand_matched_rationals, rand_relation
 
 FLIP = Relation.from_pairs(2, 2, [(0, 1), (1, 0)])
 HALF = [Fr(1, 2), Fr(1, 2)]
@@ -148,6 +148,33 @@ def test_maxflow_float_mode_matches_exact_verdicts():
             assert classical.is_lifting_witness_classical(
                 fl.witness, [float(w) for w in mu1], [float(w) for w in mu2], rel
             )
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_maxflow_matches_subset_scan_on_rectangular_shapes(exact):
+    """Every shape m, n in 1..6 at several relation densities: the max-flow
+    verdict equals the exhaustive scan's, every witness is a lifting, and
+    every violating set breaks Hall's condition. Margins are 0 or at least
+    1/20, so the float path must reach the exact verdicts."""
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for density in (0.2, 0.5, 0.8):
+                for _ in range(4):
+                    rel = rand_relation(rng, m, n, density)
+                    mu1, mu2 = rand_matched_rationals(rng, m, n)
+                    want = classical.check_strassen_exhaustive(mu1, mu2, rel) is None
+                    w1, w2 = (mu1, mu2) if exact else (
+                        [float(w) for w in mu1], [float(w) for w in mu2]
+                    )
+                    v = classical.check_lifting_maxflow(w1, w2, rel)
+                    assert v.exists == want, (m, n, sorted(rel.pairs), mu1, mu2)
+                    if v.exists:
+                        assert classical.is_exact(*v.witness) == exact
+                        assert classical.is_lifting_witness_classical(v.witness, w1, w2, rel)
+                    else:
+                        img = classical.relation_image(rel, v.violating)
+                        assert sum(mu1[i] for i in v.violating) > sum(mu2[j] for j in img)
 
 
 def test_exact_violating_margin_is_rational():
