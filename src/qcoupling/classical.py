@@ -4,7 +4,7 @@ A sub-distribution assigns nonnegative mass summing to at most 1; a joint
 sub-distribution couples two of them when its row and column sums match
 them; a lifting additionally confines the support to a relation. Lifting
 existence is equivalent to mu1(S) <= mu2(R(S)) for every subset S of the
-left index set, and is decided here by max-flow (Dinic) with the
+left index set, and is decided here by max-flow (Edmonds-Karp) with the
 exhaustive subset scan kept as the brute-force oracle.
 
 Weights may be floats or fractions.Fraction; all routines are written so
@@ -162,68 +162,34 @@ def check_strassen_exhaustive(mu1, mu2, relation: Relation):
     return None
 
 
-class _Dinic:
-    """Dinic's max-flow on a small dense-ish network, generic over the
-    number type of the capacities (float or Fraction)."""
-
-    def __init__(self, num_nodes, zero):
-        self.graph = [[] for _ in range(num_nodes)]
-        self.zero = zero
-
-    def add_edge(self, u, v, cap):
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, self.zero, len(self.graph[u]) - 1])
-
-    def _levels(self, s, t):
-        level = [-1] * len(self.graph)
-        level[s] = 0
-        queue = [s]
+def _edmonds_karp(cap, source, sink, cutoff):
+    """Edmonds-Karp max-flow on residual capacities cap[u][v], updated in
+    place; an edge at or below cutoff counts as saturated, and neighbours are
+    scanned in insertion order. Returns the flow and the vertices the last,
+    failing search reached: the source side of a minimum cut."""
+    flow = 0
+    while True:
+        parent = {source: None}
+        queue = [source]
         for u in queue:
-            for v, cap, _ in self.graph[u]:
-                if cap > self.cutoff and level[v] < 0:
-                    level[v] = level[u] + 1
+            for v, c in cap[u].items():
+                if c > cutoff and v not in parent:
+                    parent[v] = u
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _push(self, u, t, limit, level, it):
-        if u == t:
-            return limit
-        while it[u] < len(self.graph[u]):
-            edge = self.graph[u][it[u]]
-            v, cap, rev = edge
-            if cap > self.cutoff and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, cap), level, it)
-                if pushed > self.cutoff:
-                    edge[1] -= pushed
-                    self.graph[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return self.zero
-
-    def max_flow(self, s, t, cutoff):
-        self.cutoff = cutoff
-        flow = self.zero
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * len(self.graph)
-            while True:
-                pushed = self._push(s, t, self.infinite, level, it)
-                if pushed <= self.cutoff:
-                    break
-                flow += pushed
-
-    def reachable(self, s):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, cap, _ in self.graph[u]:
-                if cap > self.cutoff and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+            if sink in parent:
+                break
+        else:
+            return flow, set(parent)
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
 
 
 @dataclass(frozen=True)
@@ -236,7 +202,8 @@ class ClassicalVerdict:
 
 
 def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
-    """Decide lifting existence for matched-weight sub-distributions.
+    """Decide lifting existence for matched-weight sub-distributions by
+    Edmonds-Karp max-flow.
 
     The network routes mu1(i) from the source through relation edges of
     effectively infinite capacity into sinks of capacity mu2(j). Full
@@ -266,29 +233,31 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
         return ClassicalVerdict(True, witness, None)
 
     source, sink = m + n, m + n + 1
-    net = _Dinic(m + n + 2, zero)
-    net.infinite = t1 + 1
+    infinite = t1 + 1
+    cap = [{} for _ in range(m + n + 2)]
+
+    def add_edge(u, v, c):
+        cap[u][v] = c
+        cap[v][u] = zero
+
     for i in range(m):
-        net.add_edge(source, i, mu1[i] + zero)
+        add_edge(source, i, mu1[i] + zero)
     for j in range(n):
-        net.add_edge(m + j, sink, mu2[j] + zero)
-    edge_of = {}
+        add_edge(m + j, sink, mu2[j] + zero)
     for i, j in sorted(relation.pairs):
-        edge_of[(i, j)] = len(net.graph[i])
-        net.add_edge(i, m + j, net.infinite)
+        add_edge(i, m + j, infinite)
     cutoff = zero if exact else _FLOW_CUTOFF * float(t1)
-    flow = net.max_flow(source, sink, cutoff)
+    flow, reached = _edmonds_karp(cap, source, sink, cutoff)
 
     saturated = flow == t1 if exact else t1 - flow <= 1e-9 * max(1.0, float(t1))
     if saturated:
         witness = [[zero] * n for _ in range(m)]
-        for (i, j), idx in edge_of.items():
-            sent = net.infinite - net.graph[i][idx][1]
+        for i, j in relation.pairs:
+            sent = infinite - cap[i][m + j]
             witness[i][j] = sent if exact else max(float(sent), 0.0)
         return ClassicalVerdict(True, tuple(tuple(r) for r in witness), None)
 
-    reach = net.reachable(source)
-    violating = frozenset(i for i in range(m) if i in reach)
+    violating = frozenset(i for i in range(m) if i in reached)
     image = relation_image(relation, violating)
     # min-cut guarantee; if this trips, the flow computation is wrong
     assert sum(mu1[i] for i in violating) > sum(mu2[j] for j in image)

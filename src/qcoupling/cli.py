@@ -100,15 +100,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_check_lifting(args) -> dict:
+def _problem(args) -> CouplingProblem:
+    """The lifting problem named by --rho1, --rho2 and --subspace."""
     rho1 = jsonio.parse_density(jsonio.load_file(args.rho1))
     rho2 = jsonio.parse_density(jsonio.load_file(args.rho2))
     sub = jsonio.parse_subspace(
         jsonio.load_file(args.subspace), expected_dim=rho1.dim * rho2.dim
     )
-    verdict = sdp.check_quantum_lifting(
-        CouplingProblem(rho1, rho2, sub), args.eps_solve, args.eps_decide
-    )
+    return CouplingProblem(rho1, rho2, sub)
+
+
+def _cmd_check_lifting(args) -> dict:
+    verdict = sdp.check_quantum_lifting(_problem(args), args.eps_solve, args.eps_decide)
     return jsonio.verdict_to_json(verdict)
 
 
@@ -124,30 +127,20 @@ def _cmd_classical_check(args) -> dict:
 
 def _cmd_verify_witness(args) -> dict:
     rho = jsonio.parse_density(jsonio.load_file(args.rho))
-    rho1 = jsonio.parse_density(jsonio.load_file(args.rho1))
-    rho2 = jsonio.parse_density(jsonio.load_file(args.rho2))
-    sub = jsonio.parse_subspace(
-        jsonio.load_file(args.subspace), expected_dim=rho1.dim * rho2.dim
-    )
-    problem = CouplingProblem(rho1, rho2, sub)
-    r1, r2 = quantum.marginal_deviation(rho, rho1, rho2)
+    problem = _problem(args)
+    r1, r2 = quantum.marginal_deviation(rho, problem.rho1, problem.rho2)
     return {
         "valid": quantum.is_lifting_witness(rho, problem, args.tol),
         "marginal_residuals": [r1, r2],
-        "support_leakage": quantum.support_leakage(rho, sub),
+        "support_leakage": quantum.support_leakage(rho, problem.subspace),
     }
 
 
 def _cmd_verify_certificate(args) -> dict:
     y1 = jsonio.parse_matrix(jsonio.load_file(args.y1))
     y2 = jsonio.parse_matrix(jsonio.load_file(args.y2))
-    rho1 = jsonio.parse_density(jsonio.load_file(args.rho1))
-    rho2 = jsonio.parse_density(jsonio.load_file(args.rho2))
-    sub = jsonio.parse_subspace(
-        jsonio.load_file(args.subspace), expected_dim=rho1.dim * rho2.dim
-    )
-    problem = CouplingProblem(rho1, rho2, sub)
-    gap = quantum.expectation(y1, rho1) - quantum.expectation(y2, rho2)
+    problem = _problem(args)
+    gap = quantum.expectation(y1, problem.rho1) - quantum.expectation(y2, problem.rho2)
     return {
         "valid": sdp.verify_dual_certificate(y1, y2, problem, args.tol),
         "trace_gap": gap,
@@ -162,29 +155,36 @@ def _cmd_cross_check(args) -> dict:
     return jsonio.report_to_json(report)
 
 
+def _witness_demo(args, d: int, witness, sub, description: str) -> dict:
+    """A known lifting witness of (I/d, I/d) inside sub, its verification,
+    and the checker's verdict on the same problem."""
+    uniform = quantum.uniform_density(d)
+    problem = CouplingProblem(uniform, uniform, sub)
+    r1, r2 = quantum.marginal_deviation(witness, uniform, uniform)
+    verdict = sdp.check_quantum_lifting(problem, args.eps_solve, args.eps_decide)
+    return {
+        "description": description,
+        "witness": jsonio.matrix_to_json(witness.mat),
+        "marginal_residuals": [r1, r2],
+        "support_leakage": quantum.support_leakage(witness, sub),
+        "is_lifting_witness": quantum.is_lifting_witness(witness, problem, 1e-9),
+        "checker": jsonio.verdict_to_json(verdict),
+    }
+
+
 def _demo_bell(args) -> dict:
     d = args.dim
     if d < 2:
         raise InputError("bell demo needs --dim >= 2")
-    uniform = quantum.uniform_density(d)
     psi = np.zeros(d * d, dtype=np.complex128)
     for i in range(d):
         psi[linalg.pair_index(i, i, d)] = 1.0 / np.sqrt(d)
     bell = quantum.DensityOperator(np.outer(psi, psi.conj()))
     span = [np.eye(d * d)[linalg.pair_index(i, i, d)] for i in range(d)]
-    sub = linalg.Subspace.from_span(span)
-    problem = CouplingProblem(uniform, uniform, sub)
-    r1, r2 = quantum.marginal_deviation(bell, uniform, uniform)
-    verdict = sdp.check_quantum_lifting(problem, args.eps_solve, args.eps_decide)
-    return {
-        "description": f"maximally entangled witness for (I/{d}, I/{d}) "
-        "inside span{|ii>}",
-        "witness": jsonio.matrix_to_json(bell.mat),
-        "marginal_residuals": [r1, r2],
-        "support_leakage": quantum.support_leakage(bell, sub),
-        "is_lifting_witness": quantum.is_lifting_witness(bell, problem, 1e-9),
-        "checker": jsonio.verdict_to_json(verdict),
-    }
+    return _witness_demo(
+        args, d, bell, linalg.Subspace.from_span(span),
+        f"maximally entangled witness for (I/{d}, I/{d}) inside span{{|ii>}}",
+    )
 
 
 def _demo_negation(args) -> dict:
@@ -205,20 +205,10 @@ def _demo_unitary(args) -> dict:
         raise InputError("demo unitary needs --file with a unitary matrix JSON")
     u = jsonio.parse_matrix(jsonio.load_file(args.file))
     rho_u, sub = quantum.coupling_unitary(u)
-    d = u.shape[0]
-    uniform = quantum.uniform_density(d)
-    problem = CouplingProblem(uniform, uniform, sub)
-    r1, r2 = quantum.marginal_deviation(rho_u, uniform, uniform)
-    verdict = sdp.check_quantum_lifting(problem, args.eps_solve, args.eps_decide)
-    return {
-        "description": "coupling (1/d) sum |i, Ui><i, Ui| of (I/d, I/d) "
-        "inside span{|i>|Ui>}",
-        "witness": jsonio.matrix_to_json(rho_u.mat),
-        "marginal_residuals": [r1, r2],
-        "support_leakage": quantum.support_leakage(rho_u, sub),
-        "is_lifting_witness": quantum.is_lifting_witness(rho_u, problem, 1e-9),
-        "checker": jsonio.verdict_to_json(verdict),
-    }
+    return _witness_demo(
+        args, u.shape[0], rho_u, sub,
+        "coupling (1/d) sum |i, Ui><i, Ui| of (I/d, I/d) inside span{|i>|Ui>}",
+    )
 
 
 def _demo_no_lifting(args) -> dict:

@@ -5,6 +5,9 @@ Matrix objects carry "re" (nested rows) and optionally "im"; "dim" or
 [...]} for floats or {"num": [...], "den": [...]} for exact rationals.
 Subspaces are {"projector": <matrix>} or {"span": [<vector>, ...]} where a
 vector is either a plain number array or {"re": [...], "im": [...]}.
+Every number must be a JSON number: booleans and numeric strings are
+rejected, and "m", "n", "pairs", "num", "den", "dim", "rows" and "cols"
+take JSON integers only.
 Emitted floats use Python's shortest round-trip representation, so
 re-parsing reproduces every value exactly; NaN and infinities are rejected
 on both paths.
@@ -55,16 +58,27 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _numeric_rows(obj, label: str) -> np.ndarray:
+def _is_int(v) -> bool:
+    """True for a JSON integer; booleans are not integers here."""
+    return type(v) is int
+
+
+def _number_array(obj, label: str, ndim: int) -> np.ndarray:
+    """A non-empty rectangular array, ndim levels deep, of JSON numbers as
+    float64. Booleans, strings and numbers beyond the float range raise
+    InputError."""
+    shape = "array" if ndim == 1 else "array of rows"
     if not isinstance(obj, list) or not obj:
-        raise InputError(f'"{label}" must be a non-empty array of rows')
+        raise InputError(f'"{label}" must be a non-empty {shape}')
+    arr = np.array(obj, dtype=object)
+    if arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+        raise InputError(f'"{label}" must be a rectangular {shape} of JSON numbers')
     try:
-        arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f'"{label}" rows must be numeric and rectangular') from exc
-    if arr.ndim != 2:
-        raise InputError(f'"{label}" must be a nested array of rows')
-    if not np.all(np.isfinite(arr)):
+        arr = arr.astype(np.float64)
+        finite = bool(np.all(np.isfinite(arr)))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise InputError(f'"{label}" entries must be finite')
     return arr
 
@@ -75,17 +89,17 @@ def parse_matrix(obj) -> np.ndarray:
         raise InputError("matrix must be a JSON object with a \"re\" field")
     if "re" not in obj:
         raise InputError('matrix object is missing "re"')
-    re_part = _numeric_rows(obj["re"], "re")
+    re_part = _number_array(obj["re"], "re", 2)
     if "im" in obj:
-        im_part = _numeric_rows(obj["im"], "im")
+        im_part = _number_array(obj["im"], "im", 2)
         if im_part.shape != re_part.shape:
             raise InputError('"im" shape differs from "re"')
     else:
         im_part = np.zeros_like(re_part)
     rows, cols = re_part.shape
     for key, want in (("dim", rows), ("rows", rows), ("cols", cols)):
-        if key in obj and obj[key] != want:
-            raise InputError(f'"{key}": {obj[key]} does not match data shape {want}')
+        if key in obj and not (_is_int(obj[key]) and obj[key] == want):
+            raise InputError(f'"{key}" must be the integer {want}, got {obj[key]!r}')
     if rows != cols:
         raise InputError(f"matrix must be square, got {rows}x{cols}")
     return re_part + 1j * im_part
@@ -109,26 +123,15 @@ def parse_density(obj) -> DensityOperator:
 
 
 def _parse_vector(obj) -> np.ndarray:
-    if isinstance(obj, dict):
-        re_part = obj.get("re")
-        if not isinstance(re_part, list):
-            raise InputError('span vector object needs a numeric "re" array')
-        re_arr = np.array(re_part, dtype=np.float64)
-        im = obj.get("im")
-        im_arr = (
-            np.array(im, dtype=np.float64) if im is not None else np.zeros_like(re_arr)
-        )
-        if im_arr.shape != re_arr.shape:
-            raise InputError('span vector "im" length differs from "re"')
-        vec = re_arr + 1j * im_arr
-    else:
-        try:
-            vec = np.array(obj, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise InputError("span vector must be a number array") from exc
-    if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-        raise InputError("span vectors must be flat arrays of finite numbers")
-    return vec
+    if not isinstance(obj, dict):
+        return _number_array(obj, "span vector", 1).astype(np.complex128)
+    re_part = _number_array(obj.get("re"), "span vector re", 1)
+    if obj.get("im") is None:
+        return re_part.astype(np.complex128)
+    im_part = _number_array(obj["im"], "span vector im", 1)
+    if im_part.shape != re_part.shape:
+        raise InputError('span vector "im" length differs from "re"')
+    return re_part + 1j * im_part
 
 
 def parse_subspace(obj, expected_dim: int | None = None) -> linalg.Subspace:
@@ -155,21 +158,15 @@ def parse_distribution(obj) -> list:
     if not isinstance(obj, dict):
         raise InputError('distribution must be {"weights": ...} or {"num"/"den": ...}')
     if "weights" in obj:
-        weights = obj["weights"]
-        if not isinstance(weights, list):
-            raise InputError('"weights" must be an array')
-        try:
-            floats = [float(w) for w in weights]
-        except (TypeError, ValueError) as exc:
-            raise InputError('"weights" entries must be numbers') from exc
-        return classical.check_subdistribution(floats)
+        weights = _number_array(obj["weights"], "weights", 1)
+        return classical.check_subdistribution(weights.tolist())
     if "num" in obj or "den" in obj:
         num, den = obj.get("num"), obj.get("den")
         if not (isinstance(num, list) and isinstance(den, list)) or len(num) != len(den):
             raise InputError('"num" and "den" must be integer arrays of equal length')
         out = []
         for k, (a, b) in enumerate(zip(num, den)):
-            if not isinstance(a, int) or not isinstance(b, int):
+            if not (_is_int(a) and _is_int(b)):
                 raise InputError(f"num/den entries must be integers (index {k})")
             if b == 0:
                 raise InputError(f"zero denominator at index {k}")
@@ -185,7 +182,7 @@ def parse_relation(obj) -> Relation:
         if key not in obj:
             raise InputError(f'relation is missing "{key}"')
     m, n, pairs = obj["m"], obj["n"], obj["pairs"]
-    if not isinstance(m, int) or not isinstance(n, int):
+    if not (_is_int(m) and _is_int(n)):
         raise InputError('"m" and "n" must be integers')
     if not isinstance(pairs, list):
         raise InputError('"pairs" must be an array of [i, j] pairs')
@@ -194,7 +191,7 @@ def parse_relation(obj) -> Relation:
         if (
             not isinstance(p, list)
             or len(p) != 2
-            or not all(isinstance(c, int) for c in p)
+            or not all(_is_int(c) for c in p)
         ):
             raise InputError(f'"pairs"[{k}] must be an integer pair [i, j]')
         cleaned.append((p[0], p[1]))

@@ -20,8 +20,8 @@ from .errors import InputError, NumericalError
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-8
-# Support rule (``support_isometry``): keep the eigenvectors whose eigenvalue
-# exceeds cut * lambda_max. RANK_TOL is the cut of the public ``support``:
+# Support rule (``support_mask``): keep the directions whose weight exceeds
+# cut * the largest weight. RANK_TOL is the cut of the public ``support``:
 # directions that small count as absent from a state. SUPPORT_CUT is the cut
 # at which the lifting solver compresses a marginal to its support; it is
 # far below RANK_TOL so that only machine-level zeros, which break the
@@ -281,12 +281,18 @@ class Subspace:
         return cls(dim, np.zeros((dim, dim), dtype=np.complex128))
 
 
+def support_mask(w: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The support rule: which of the weights w (eigenvalues, or a state's
+    weights on any orthonormal basis) exceed rank_tol * max(w); none do when
+    max(w) <= 0."""
+    return w > rank_tol * max(float(w.max()), 0.0)
+
+
 def support_isometry(h: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Isometry onto the eigenvectors of trusted Hermitian h with eigenvalue
-    > rank_tol * lambda_max (no columns when lambda_max <= 0)."""
+    """Isometry onto the eigenvectors of trusted Hermitian h that
+    ``support_mask`` keeps."""
     w, v = np.linalg.eigh(h)
-    keep = w > rank_tol * max(float(w[-1]), 0.0)
-    return np.ascontiguousarray(v[:, keep])
+    return np.ascontiguousarray(v[:, support_mask(w, rank_tol)])
 
 
 def support(rho: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:

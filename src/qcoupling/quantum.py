@@ -143,7 +143,7 @@ def coupling_identity_basis(
     basis defaults to the eigenvectors of rho; for degenerate spectra a
     different orthonormal eigenbasis may be passed in, and the resulting
     coupling genuinely depends on that choice. The subspace spans the
-    |ii> with p_i above rank_tol.
+    |ii> whose weights p_i ``linalg.support_mask`` keeps at rank_tol.
     """
     if basis is None:
         spec = linalg.hermitian_eig(rho.mat)
@@ -160,11 +160,10 @@ def coupling_identity_basis(
     d = rho.dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     span = []
-    lam_max = float(max(weights.max(), 0.0)) if d else 0.0
-    for p, v in zip(weights, vectors.T):
+    for p, keep, v in zip(weights, linalg.support_mask(weights, rank_tol), vectors.T):
         vv = np.kron(v, v)
         out += max(float(p), 0.0) * np.outer(vv, vv.conj())
-        if lam_max > 0.0 and p > rank_tol * lam_max:
+        if keep:
             span.append(vv)
     subspace = (
         linalg.Subspace.from_span(span) if span else linalg.Subspace.zero(d * d)

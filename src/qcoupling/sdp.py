@@ -321,6 +321,17 @@ def _solve_core(
         # the loop rebinds x, y1, y2 and never writes into them
         return SdpSolution(x, y1, y2, pval, dval, gap, pres, dres, iters)
 
+    def direction(corr, smu):
+        # Newton direction (dX, dY1, dY2, dZ) at the current iterate, with
+        # second-order term corr and centring target smu = sigma * mu;
+        # direction(0, 0) is the affine predictor. Reads the loop's current
+        # x, rd, xrd, zinv, zi1, zi2 and schur.
+        w1, w2 = linalg.partial_traces(linalg.herm((xrd - corr) @ zinv), d1, d2)
+        dy1, dy2 = _newton_solve(schur, smu * zi1 - b1 + w1, smu * zi2 - b2 + w2)
+        dz = _phi_star(dy1, dy2) - rd
+        dx = smu * zinv - x - linalg.herm((corr + x @ dz) @ zinv)
+        return dx, dy1, dy2, dz
+
     best = None
     best_score = np.inf
     try:
@@ -350,29 +361,15 @@ def _solve_core(
             deflate = max(1.0, float(np.trace(schur)) / m)
             schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
 
-            # affine (predictor) direction: sigma = 0, no correction term
+            zi1, zi2 = linalg.partial_traces(zinv, d1, d2)
             xrd = x @ rd
-            w = linalg.herm(xrd @ zinv)
-            w1, w2 = linalg.partial_traces(w, d1, d2)
-            dy1a, dy2a = _newton_solve(schur, w1 - b1, w2 - b2)
-            dza = _phi_star(dy1a, dy2a) - rd
-            dxa = -x - linalg.herm((x @ dza) @ zinv)
+            dxa, _, _, dza = direction(0.0, 0.0)
             ap_aff, ad_aff = (min(1.0, s) for s in _step_len(linv, dxa, dza))
             mu_aff = max(
                 0.0, float(np.vdot(x + ap_aff * dxa, z + ad_aff * dza).real) / d
             )
             sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) if mu > 0 else _SIGMA_MAX
-
-            # combined (corrector) direction
-            corr = dxa @ dza
-            w = linalg.herm((xrd - corr) @ zinv)
-            w1, w2 = linalg.partial_traces(w, d1, d2)
-            zi1, zi2 = linalg.partial_traces(zinv, d1, d2)
-            rhs1 = sigma * mu * zi1 - b1 + w1
-            rhs2 = sigma * mu * zi2 - b2 + w2
-            dy1, dy2 = _newton_solve(schur, rhs1, rhs2)
-            dz = _phi_star(dy1, dy2) - rd
-            dx = sigma * mu * zinv - x - linalg.herm((corr + x @ dz) @ zinv)
+            dx, dy1, dy2, dz = direction(dxa @ dza, sigma * mu)
 
             ap, ad = (min(1.0, _BOUNDARY * s) for s in _step_len(linv, dx, dz))
             x = linalg.herm(x + ap * dx)

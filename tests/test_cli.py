@@ -377,3 +377,60 @@ def test_parse_distribution_rational_and_float_forms():
         jsonio.parse_distribution({"num": [1], "den": [0]})
     with pytest.raises(InputError):
         jsonio.parse_distribution({"weights": [0.7, 0.7]})  # mass above one
+
+
+@pytest.mark.parametrize("name, obj", [
+    ("sub", {"span": [{"re": ["a", 0, 0, 0]}]}),
+    ("sub", {"span": [{"re": [1, 0, 0, 0], "im": ["a", 0, 0, 0]}]}),
+    ("sub", {"span": [{"re": [10**400, 0, 0, 0]}]}),
+    ("sub", {"span": [[1, 0, 0, True]]}),
+    ("rho1", {"re": [["0.5", "0"], ["0", "0.5"]]}),
+    ("rho1", {"re": [[True, False], [False, False]]}),
+    ("rho1", {"re": [[0.5, 0], [0, 0.5]], "im": [[False, False], [False, False]]}),
+], ids=["span-re-string", "span-im-string", "span-overflow", "span-bool",
+        "matrix-strings", "matrix-bools", "matrix-im-bools"])
+def test_non_numbers_in_quantum_json_exit_one(tmp_path, capsys, name, obj):
+    files = dict(zip(("rho1", "rho2", "sub"), bell_files(tmp_path)))
+    files[name] = jwrite(tmp_path, "bad.json", obj)
+    rc = cli.run(["check-lifting", "--rho1", files["rho1"], "--rho2", files["rho2"],
+                  "--subspace", files["sub"]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "JSON numbers" in captured.err or "finite" in captured.err
+
+
+def test_boolean_dim_exits_one(tmp_path, capsys):
+    one = jwrite(tmp_path, "one.json", {"re": [[1.0]]})
+    bad = jwrite(tmp_path, "bad.json", {"dim": True, "re": [[1.0]]})
+    sub = jwrite(tmp_path, "sub.json", {"span": [[1]]})
+    assert cli.run(["check-lifting", "--rho1", one, "--rho2", one, "--subspace", sub]) == 0
+    capsys.readouterr()
+    rc = cli.run(["check-lifting", "--rho1", bad, "--rho2", one, "--subspace", sub])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and '"dim"' in captured.err
+
+
+@pytest.mark.parametrize("mu1, mu2, relation", [
+    ({"weights": [True]}, {"weights": [1]}, {"m": 1, "n": 1, "pairs": [[0, 0]]}),
+    ({"num": [True], "den": [1]}, {"num": [1], "den": [1]}, {"m": 1, "n": 1, "pairs": [[0, 0]]}),
+    ({"num": [1], "den": [True]}, {"num": [1], "den": [1]}, {"m": 1, "n": 1, "pairs": [[0, 0]]}),
+    ({"weights": [1]}, {"weights": [0.5, 0.5]}, {"m": True, "n": 2, "pairs": [[0, 1]]}),
+    ({"weights": [1]}, {"weights": [0.5, 0.5]}, {"m": 1, "n": 2, "pairs": [[False, True]]}),
+], ids=["weights-bool", "num-bool", "den-bool", "m-bool", "pairs-bool"])
+def test_booleans_in_classical_json_exit_one(tmp_path, capsys, mu1, mu2, relation):
+    argv = ["classical-check", "--mu1", jwrite(tmp_path, "mu1.json", mu1),
+            "--mu2", jwrite(tmp_path, "mu2.json", mu2),
+            "--relation", jwrite(tmp_path, "rel.json", relation)]
+    rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["dim", "rows", "cols"])
+def test_matrix_shape_keys_take_json_integers(key):
+    assert jsonio.parse_matrix({key: 1, "re": [[1.0]]}).shape == (1, 1)
+    for value in (True, 1.0, "1"):
+        with pytest.raises(InputError):
+            jsonio.parse_matrix({key: value, "re": [[1.0]]})

@@ -397,3 +397,43 @@ def test_random_instances_produce_sound_proof_objects():
         assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-8
     # the sweep must exercise both branches to mean anything
     assert seen_exists >= 5 and seen_not >= 5
+
+
+def _rank_one_problem():
+    psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+    rho = DensityOperator(0.8 * np.outer(psi, psi))
+    return CouplingProblem(rho, rho, Subspace.full(9))
+
+
+@pytest.mark.parametrize("make, full_rank, exists", [
+    (lambda: CouplingProblem(quantum.uniform_density(2), quantum.uniform_density(2),
+                             Subspace.from_span([_bell_vec(2)])), True, True),
+    (lambda: CouplingProblem(quantum.uniform_density(2), quantum.uniform_density(2),
+                             Subspace.from_span([np.eye(4)[0]])), True, False),
+    (_rank_one_problem, False, True),
+    (point_problem, False, False),
+], ids=["full-rank-exists", "full-rank-not-exists", "rank-deficient-exists",
+        "rank-deficient-not-exists"])
+def test_check_lifting_solves_through_the_module_attribute_once(
+    monkeypatch, make, full_rank, exists
+):
+    """check_quantum_lifting reaches the solver through the attribute
+    sdp.solve_coupling_sdp, once per nonzero decision, so wrapping that
+    attribute sees (and can time) every solve."""
+    calls = []
+    solve = sdp.solve_coupling_sdp
+
+    def counting(*args, **kwargs):
+        calls.append(solve(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(sdp, "solve_coupling_sdp", counting)
+    problem = make()
+    ranks = [np.linalg.matrix_rank(r.mat) for r in (problem.rho1, problem.rho2)]
+    assert (ranks == list(problem.dims)) == full_rank
+    verdict = sdp.check_quantum_lifting(problem)
+    assert verdict.exists == exists
+    assert len(calls) == 1 and verdict.diagnostics is calls[0]
+    zero = DensityOperator(np.zeros((2, 2)))
+    sdp.check_quantum_lifting(CouplingProblem(zero, zero, Subspace.full(4)))
+    assert len(calls) == 1  # the zero state is decided without a solve
