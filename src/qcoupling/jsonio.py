@@ -124,10 +124,10 @@ def parse_density(obj) -> DensityOperator:
 
 def _parse_vector(obj) -> np.ndarray:
     if not isinstance(obj, dict):
-        return _number_array(obj, "span vector", 1).astype(np.complex128)
+        return _number_array(obj, "span vector", 1)
     re_part = _number_array(obj.get("re"), "span vector re", 1)
     if obj.get("im") is None:
-        return re_part.astype(np.complex128)
+        return re_part
     im_part = _number_array(obj["im"], "span vector im", 1)
     if im_part.shape != re_part.shape:
         raise InputError('span vector "im" length differs from "re"')

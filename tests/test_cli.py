@@ -400,17 +400,6 @@ def test_non_numbers_in_quantum_json_exit_one(tmp_path, capsys, name, obj):
     assert "JSON numbers" in captured.err or "finite" in captured.err
 
 
-def test_boolean_dim_exits_one(tmp_path, capsys):
-    one = jwrite(tmp_path, "one.json", {"re": [[1.0]]})
-    bad = jwrite(tmp_path, "bad.json", {"dim": True, "re": [[1.0]]})
-    sub = jwrite(tmp_path, "sub.json", {"span": [[1]]})
-    assert cli.run(["check-lifting", "--rho1", one, "--rho2", one, "--subspace", sub]) == 0
-    capsys.readouterr()
-    rc = cli.run(["check-lifting", "--rho1", bad, "--rho2", one, "--subspace", sub])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == "" and '"dim"' in captured.err
-
-
 @pytest.mark.parametrize("mu1, mu2, relation", [
     ({"weights": [True]}, {"weights": [1]}, {"m": 1, "n": 1, "pairs": [[0, 0]]}),
     ({"num": [True], "den": [1]}, {"num": [1], "den": [1]}, {"m": 1, "n": 1, "pairs": [[0, 0]]}),
