@@ -213,7 +213,8 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     the min cut: infinite edges never cross it, so the cut capacity is
     mu1(complement of S) + mu2(R(S)) < |mu1|.
 
-    Rational weights (int/Fraction) are processed exactly; floats use an
+    Rational weights (int/Fraction) are processed exactly and must have
+    equal totals; floats may differ in total by 1e-9 and use an
     augmentation cutoff of 1e-12 * |mu1|.
     """
     mu1 = check_subdistribution(mu1)
@@ -222,11 +223,11 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     if len(mu1) != m or len(mu2) != n:
         raise InputError("distribution sizes do not match the relation")
     t1, t2 = sum(mu1), sum(mu2)
-    if abs(t1 - t2) > 1e-9:
+    exact = is_exact(mu1, mu2)
+    if abs(t1 - t2) > (0 if exact else 1e-9):
         raise InputError(
             f"total weights differ (|mu1| = {t1}, |mu2| = {t2}); no coupling can exist"
         )
-    exact = is_exact(mu1, mu2)
     zero = Fraction(0) if exact else 0.0
     if t1 <= (0 if exact else WEIGHT_SLACK):
         witness = tuple(tuple(zero for _ in range(n)) for _ in range(m))

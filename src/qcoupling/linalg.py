@@ -6,7 +6,10 @@ Conventions used throughout the package:
 * the composite space H1 (x) H2 with dims (d1, d2) uses the index map
   (i, k) -> i * d2 + k, which is what ``numpy.kron`` produces;
 * Hermitian data is symmetrized once at the boundary (``hermitize``)
-  and trusted afterwards.
+  and trusted afterwards;
+* one support rule, ``support_mask``, serves states, the lifting solver's
+  marginal compression and spans: a direction whose weight is at most
+  RANK_TOL times the largest weight counts as absent.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ from .errors import InputError, NumericalError
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-8
-# Support rule (``support_mask``): keep the directions whose weight exceeds
-# cut * the largest weight. RANK_TOL is the cut of the public ``support``:
-# directions that small count as absent from a state. SUPPORT_CUT is the cut
-# at which the lifting solver compresses a marginal to its support; it is
-# far below RANK_TOL so that only machine-level zeros, which break the
-# interior-point path, trigger the compressed solve.
-RANK_TOL = 1e-9
-SUPPORT_CUT = 1e-13
-SPAN_DROP_TOL = 1e-9
+RANK_TOL = 1e-9  # the one support cut, relative to the largest weight
 
 _JACOBI_MAX_SWEEPS = 100
 _JACOBI_OFF_FACTOR = 1e-12
@@ -128,7 +123,7 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> Spectrum:
+def hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition by cyclic Jacobi rotations (complex Givens).
 
     Sweeps the strict upper triangle, annihilating one off-diagonal entry
@@ -136,7 +131,7 @@ def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> Spectrum:
     1e-12 * ||H||_F. Caps at 100 sweeps and raises NumericalError if the
     cap is hit, which for Hermitian input does not happen in practice.
     """
-    a = hermitize(h, tol)
+    a = hermitize(h)
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
     if d == 1:
@@ -231,46 +226,37 @@ class Subspace:
         return np.eye(self.ambient_dim) - self.projector
 
     @classmethod
-    def from_projector(cls, p, tol: float = PROJECTOR_TOL) -> "Subspace":
+    def from_projector(cls, p) -> "Subspace":
         """Build from a claimed projector; validates P = P^dagger = P^2.
 
-        Idempotency within tol in Frobenius norm pins every eigenvalue to
-        within tol of {0, 1}, so no separate spectral check is needed.
+        Idempotency within PROJECTOR_TOL in Frobenius norm pins every
+        eigenvalue that close to {0, 1}, so no spectral check is needed.
         """
-        p = hermitize(p, tol)
-        if np.linalg.norm(p @ p - p) > tol:
+        p = hermitize(p, PROJECTOR_TOL)
+        if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:
             raise InputError("matrix is not idempotent: not a projector")
         return cls(p.shape[0], p)
 
     @classmethod
-    def from_span(cls, vectors, drop_tol: float = SPAN_DROP_TOL) -> "Subspace":
-        """Span of the given vectors, orthonormalized by modified Gram-Schmidt.
-
-        Vectors whose residual norm after orthogonalization against the
-        earlier ones falls below drop_tol are dropped as dependent.
-        """
+    def from_span(cls, vectors) -> "Subspace":
+        """Span of vectors of any finite scale: each is divided by its largest
+        real or imaginary part, and the span is that of the right singular
+        vectors whose singular values ``support_mask`` keeps (the numerical
+        rank of Golub & Van Loan, Matrix Computations, 5.4)."""
         vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
         if not vecs:
             raise InputError("span requires at least one vector")
         dim = vecs[0].size
-        basis: list[np.ndarray] = []
-        for vec in vecs:
-            if vec.size != dim:
-                raise InputError("span vectors have inconsistent dimensions")
-            if not np.all(np.isfinite(vec)):
-                raise InputError("span vector entries must be finite")
-            v = vec.copy()
-            for _ in range(2):  # second pass keeps the basis orthonormal to machine eps
-                for b in basis:
-                    v -= b * np.vdot(b, v)
-            norm = np.linalg.norm(v)
-            if norm < drop_tol:
-                continue
-            basis.append(v / norm)
-        if not basis:
-            return cls.zero(dim)
-        vmat = np.column_stack(basis)
-        return cls(dim, vmat @ vmat.conj().T)
+        if any(v.size != dim for v in vecs):
+            raise InputError("span vectors have inconsistent dimensions")
+        a = np.array(vecs)
+        if not np.all(np.isfinite(a)):
+            raise InputError("span vector entries must be finite")
+        scale = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=1, initial=0.0)
+        nonzero = scale > 0.0
+        _, s, vh = np.linalg.svd(a[nonzero] / scale[nonzero, None], full_matrices=False)
+        v = vh[support_mask(s)].T
+        return cls(dim, v @ v.conj().T)
 
     @classmethod
     def full(cls, dim: int) -> "Subspace":
@@ -281,21 +267,21 @@ class Subspace:
         return cls(dim, np.zeros((dim, dim), dtype=np.complex128))
 
 
-def support_mask(w: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The support rule: which of the weights w (eigenvalues, or a state's
-    weights on any orthonormal basis) exceed rank_tol * max(w); none do when
-    max(w) <= 0."""
-    return w > rank_tol * max(float(w.max()), 0.0)
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """The support rule: which of the weights w (eigenvalues, singular values,
+    or a state's weights on any orthonormal basis) exceed RANK_TOL * max(w);
+    none do when w is empty or max(w) <= 0."""
+    return w > RANK_TOL * w.max(initial=0.0)
 
 
-def support_isometry(h: np.ndarray, rank_tol: float) -> np.ndarray:
+def support_isometry(h: np.ndarray) -> np.ndarray:
     """Isometry onto the eigenvectors of trusted Hermitian h that
     ``support_mask`` keeps."""
     w, v = np.linalg.eigh(h)
-    return np.ascontiguousarray(v[:, support_mask(w, rank_tol)])
+    return np.ascontiguousarray(v[:, support_mask(w)])
 
 
-def support(rho: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:
-    """Span of the eigenvectors of PSD rho with eigenvalue > rank_tol * lambda_max."""
-    v = support_isometry(hermitize(rho), rank_tol)
+def support(rho: np.ndarray) -> Subspace:
+    """Span of the eigenvectors of PSD rho that ``support_mask`` keeps."""
+    v = support_isometry(hermitize(rho))
     return Subspace(v.shape[0], v @ v.conj().T)

@@ -44,8 +44,8 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def support(self, rank_tol: float = linalg.RANK_TOL) -> linalg.Subspace:
-        return linalg.support(self.mat, rank_tol)
+    def support(self) -> linalg.Subspace:
+        return linalg.support(self.mat)
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,14 @@ def coupling_unitary(u) -> tuple[DensityOperator, linalg.Subspace]:
 
 
 def coupling_identity_basis(
-    rho: DensityOperator, basis=None, rank_tol: float = linalg.RANK_TOL
+    rho: DensityOperator, basis=None
 ) -> tuple[DensityOperator, linalg.Subspace]:
     """The identity coupling sum_i p_i |ii><ii| of (rho, rho) in an eigenbasis.
 
     basis defaults to the eigenvectors of rho; for degenerate spectra a
     different orthonormal eigenbasis may be passed in, and the resulting
     coupling genuinely depends on that choice. The subspace spans the
-    |ii> whose weights p_i ``linalg.support_mask`` keeps at rank_tol.
+    |ii> whose weights p_i the support rule ``linalg.support_mask`` keeps.
     """
     if basis is None:
         spec = linalg.hermitian_eig(rho.mat)
@@ -160,7 +160,7 @@ def coupling_identity_basis(
     d = rho.dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     span = []
-    for p, keep, v in zip(weights, linalg.support_mask(weights, rank_tol), vectors.T):
+    for p, keep, v in zip(weights, linalg.support_mask(weights), vectors.T):
         vv = np.kron(v, v)
         out += max(float(p), 0.0) * np.outer(vv, vv.conj())
         if keep:

@@ -256,8 +256,8 @@ def solve_coupling_sdp(
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
     d1, d2 = problem.dims
     a, b1, b2 = problem.subspace.projector, problem.rho1.mat, problem.rho2.mat
-    v1 = linalg.support_isometry(b1, linalg.SUPPORT_CUT)
-    v2 = linalg.support_isometry(b2, linalg.SUPPORT_CUT)
+    v1 = linalg.support_isometry(b1)
+    v2 = linalg.support_isometry(b2)
     r1, r2 = v1.shape[1], v2.shape[1]
     if r1 == d1 and r2 == d2:
         return _solve_core(d1, d2, a, b1, b2, eps, max_iter)
@@ -546,8 +546,8 @@ def check_quantum_lifting(
         return LiftingVerdict(True, witness, None, sol)
 
     y1, y2 = sol.dual_y1, sol.dual_y2
-    v1 = linalg.support_isometry(problem.rho1.mat, linalg.SUPPORT_CUT)
-    v2 = linalg.support_isometry(problem.rho2.mat, linalg.SUPPORT_CUT)
+    v1 = linalg.support_isometry(problem.rho1.mat)
+    v2 = linalg.support_isometry(problem.rho2.mat)
     if v1.shape[1] < d1 or v2.shape[1] < d2:
         y1, y2 = _complete_dual(sol, v1, v2, problem, t1)
     y1, y2 = condition_a_transform(y1, y2)

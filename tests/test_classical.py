@@ -89,6 +89,17 @@ def test_maxflow_rejects_unequal_totals():
         classical.check_lifting_maxflow([Fr(1, 2)], [Fr(1, 4)], Relation.full(1, 1))
 
 
+def test_maxflow_exact_totals_must_be_equal():
+    # exact weights whose totals differ by less than the float slack have no
+    # coupling either; float weights keep the 1e-9 slack
+    short = [Fr(1, 2) - Fr(1, 10**10)]
+    with pytest.raises(InputError):
+        classical.check_lifting_maxflow(short, [Fr(1, 2)], Relation.full(1, 1))
+    assert classical.check_lifting_maxflow(
+        [0.5 - 1e-10], [0.5], Relation.full(1, 1)
+    ).exists
+
+
 def test_zero_mass_couples_vacuously():
     v = classical.check_lifting_maxflow([0.0, 0.0], [0.0, 0.0], FLIP)
     assert v.exists

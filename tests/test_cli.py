@@ -153,6 +153,18 @@ def test_classical_exact_flag_requires_rationals(tmp_path, capsys):
     assert "--exact" in captured.err
 
 
+def test_classical_exact_unequal_totals_exit_one(tmp_path, capsys):
+    short = jwrite(tmp_path, "s.json", {"num": [4999999999], "den": [10**10]})
+    half = jwrite(tmp_path, "h.json", {"num": [1], "den": [2]})
+    full = jwrite(tmp_path, "r.json", {"m": 1, "n": 1, "pairs": [[0, 0]]})
+    rc = cli.run(
+        ["classical-check", "--mu1", short, "--mu2", half, "--relation", full, "--exact"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "total weights differ" in captured.err
+
+
 def test_cross_check_subcommand(tmp_path, capsys):
     mu = jwrite(tmp_path, "mu.json", {"num": [1, 1], "den": [2, 2]})
     eq = jwrite(tmp_path, "eq.json", {"m": 2, "n": 2, "pairs": [[0, 0], [1, 1]]})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qcoupling import linalg
+from qcoupling import jsonio, linalg
 from qcoupling.errors import InputError
 
 from helpers import rand_density, rand_hermitian, rand_unitary
@@ -190,6 +190,44 @@ def test_subspace_from_span_drops_dependent_vectors():
     v = np.array([1.0, 2.0, 0.0])
     sub = linalg.Subspace.from_span([v, 2 * v, [0.0, 0.0, 1.0]])
     assert sub.rank == 2
+
+
+# pytest turns a RuntimeWarning (an overflow or underflow in the span
+# arithmetic) into an error, so each of these also fails on a warning
+@pytest.mark.parametrize(
+    "vecs, rank",
+    [
+        ([[1e308, 1e308, 0.0, 0.0]], 1),
+        ([[1e308 + 1e308j, 0.0, 0.0, 1e308j]], 1),
+        ([[1e-10, 0.0, 0.0, 0.0]], 1),
+        ([[1e-300, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], 2),
+        ([[0.0, 0.0, 0.0, 0.0]], 0),
+    ],
+)
+def test_span_rank_ignores_vector_scale(vecs, rank):
+    sub = linalg.Subspace.from_span(vecs)
+    assert sub.rank == rank
+    p = sub.projector
+    assert np.linalg.norm(p @ p - p) < 1e-12
+    for v in np.asarray(vecs, dtype=complex):  # each vector lies inside
+        if v.any():
+            u = v / np.abs(v).max()
+            assert np.linalg.norm(p @ u - u) < 1e-12
+
+
+def test_span_projector_is_scale_invariant():
+    rng = np.random.default_rng(12)
+    vecs = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+    want = linalg.Subspace.from_span(vecs).projector
+    for scale in (1e-200, 1e200):
+        got = linalg.Subspace.from_span(vecs * scale).projector
+        assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_parse_subspace_keeps_a_huge_span_vector():
+    sub = jsonio.parse_subspace({"span": [[1e308, 1e308, 0, 0]]}, 4)
+    assert sub.rank == 1
+    assert np.allclose(sub.projector, np.outer([1, 1, 0, 0], [1, 1, 0, 0]) / 2)
 
 
 def test_subspace_full_and_zero():

@@ -219,6 +219,46 @@ def test_near_singular_marginals_decide_or_fail_cleanly(eps):
             assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
 
 
+def _planted_near_singular(rng, d, eps):
+    """A pure witness with Schmidt spectrum proportional to (1, eps, ..., eps),
+    so both marginals are truly near-singular, inside its span plus 0-3
+    random vectors."""
+    lam = np.array([1.0] + [eps] * (d - 1))
+    a, b = rand_unitary(rng, d), rand_unitary(rng, d)
+    w = np.einsum("i,ai,bi->ab", np.sqrt(lam / lam.sum()), a, b).reshape(-1)
+    x = np.outer(w, w.conj())
+    extra = rng.normal(size=(int(rng.integers(0, 4)), d * d))
+    return CouplingProblem(
+        DensityOperator(linalg.partial_trace(x, d, d, "second")),
+        DensityOperator(linalg.partial_trace(x, d, d, "first")),
+        Subspace.from_span([w, *extra]),
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_marginals_below_the_old_support_cut_decide(eps):
+    # eigenvalue ratios below RANK_TOL count as absent, so these marginals are
+    # compressed to rank one and every input decides with a proof object
+    # that re-verifies against the original, uncompressed marginals
+    rng = np.random.default_rng(14)
+    for planted in (False, True):
+        for _ in range(8):
+            if planted:
+                problem = _planted_near_singular(rng, 3, eps)
+            else:
+                problem = CouplingProblem(
+                    _near_singular(rng, 3, eps),
+                    _near_singular(rng, 3, eps),
+                    rand_subspace(rng, 9, int(rng.integers(1, 9))),
+                )
+            verdict = sdp.check_quantum_lifting(problem)
+            assert verdict.exists == planted
+            if planted:
+                assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+            else:
+                assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
+
+
 def test_solve_rejects_trace_mismatch_and_zero_trace():
     rho1 = DensityOperator(np.eye(2) / 2)
     rho2 = DensityOperator(np.eye(2) / 4)
