@@ -22,7 +22,7 @@ from .classical import (
     y2_min,
 )
 from .errors import InputError, NumericalError, SolverFailure
-from .linalg import Spectrum, Subspace, hermitian_eig, partial_trace, support, tensor
+from .linalg import Spectrum, Subspace, hermitian_eig, partial_trace, tensor
 from .quantum import (
     CouplingProblem,
     DensityOperator,
@@ -90,7 +90,6 @@ __all__ = [
     "relation_image",
     "shift_positive",
     "solve_coupling_sdp",
-    "support",
     "tensor",
     "uniform_density",
     "verify_dual_certificate",

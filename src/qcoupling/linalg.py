@@ -254,7 +254,10 @@ class Subspace:
             raise InputError("span vector entries must be finite")
         scale = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=1, initial=0.0)
         nonzero = scale > 0.0
-        _, s, vh = np.linalg.svd(a[nonzero] / scale[nonzero, None], full_matrices=False)
+        try:
+            _, s, vh = np.linalg.svd(a[nonzero] / scale[nonzero, None], full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"span SVD failed: {exc}") from exc
         v = vh[support_mask(s)].T
         return cls(dim, v @ v.conj().T)
 
@@ -273,15 +276,3 @@ def support_mask(w: np.ndarray) -> np.ndarray:
     none do when w is empty or max(w) <= 0."""
     return w > RANK_TOL * w.max(initial=0.0)
 
-
-def support_isometry(h: np.ndarray) -> np.ndarray:
-    """Isometry onto the eigenvectors of trusted Hermitian h that
-    ``support_mask`` keeps."""
-    w, v = np.linalg.eigh(h)
-    return np.ascontiguousarray(v[:, support_mask(w)])
-
-
-def support(rho: np.ndarray) -> Subspace:
-    """Span of the eigenvectors of PSD rho that ``support_mask`` keeps."""
-    v = support_isometry(hermitize(rho))
-    return Subspace(v.shape[0], v @ v.conj().T)

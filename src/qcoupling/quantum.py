@@ -9,12 +9,14 @@ coupling genuinely requires trace one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 DEFAULT_TOL = 1e-7
 PSD_TOL = 1e-9
@@ -44,8 +46,22 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
+    @cached_property
+    def support_isometry(self) -> np.ndarray:
+        """Isometry onto the eigenvectors that ``linalg.support_mask`` keeps,
+        from one eigendecomposition per state; its columns are the full
+        eigenbasis when the state has full rank. Read-only, as it is shared."""
+        try:
+            w, v = np.linalg.eigh(self.mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"support eigendecomposition failed: {exc}") from exc
+        v = np.ascontiguousarray(v[:, linalg.support_mask(w)])
+        v.setflags(write=False)
+        return v
+
     def support(self) -> linalg.Subspace:
-        return linalg.support(self.mat)
+        v = self.support_isometry
+        return linalg.Subspace(self.dim, v @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -201,11 +217,13 @@ def couplings_imply_equal_trace(
 ) -> tuple[float, float]:
     """Check that a coupling forces tr(rho1) = tr(rho2); returns both traces.
 
-    Both marginal traces equal tr(rho), so they cannot differ by more than
-    the combined marginal tolerance. Raises if rho is not a coupling.
+    Both marginal traces equal tr(rho), and |tr A| <= sqrt(d) * ||A||_F, so
+    they cannot differ by more than (sqrt(d1) + sqrt(d2)) * tol. Raises
+    InputError if rho is not a coupling.
     """
     if not is_coupling(rho, rho1, rho2, tol):
         raise InputError("rho is not a coupling for (rho1, rho2) at this tolerance")
     t1, t2 = rho1.trace, rho2.trace
-    assert abs(t1 - t2) <= 2.0 * tol
+    if abs(t1 - t2) > (math.sqrt(rho1.dim) + math.sqrt(rho2.dim)) * tol:
+        raise NumericalError(f"coupling marginal traces differ by {abs(t1 - t2):.3e}")
     return t1, t2

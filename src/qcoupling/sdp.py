@@ -28,13 +28,14 @@ no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
 memory per iteration for d1 = d2 = d. X and Z are Cholesky-factored once per
 iterate; the inverse factors give Z^-1 and all four step-length tests.
 
-Strict primal feasibility fails outright when a marginal is rank-deficient:
-every feasible X is then confined to supp(rho1) (x) supp(rho2), the central
-path degenerates, and the raw iteration stalls or breaks down. Such
-problems are solved on their compression to that product support, where
-the compressed marginals are positive definite and the path is regular,
-and the solution is lifted back (the primal optimizer exactly, the dual
-pair padded with zeros off the supports).
+Every feasible X lives on supp(rho1) (x) supp(rho2), so a rank-deficient
+marginal leaves no strictly feasible X and a raw iteration stalls or breaks
+down. Every problem is therefore solved on its compression to that product
+support (facial reduction; Drusvyatskiy & Wolkowicz, "The many faces of
+degeneracy in conic optimization", 2017), where the marginals are positive
+definite, and lifted back (the primal optimizer exactly, the dual pair
+padded with zeros off the supports). For full-rank marginals the
+compression is the change to their eigenbases.
 """
 
 from __future__ import annotations
@@ -243,12 +244,14 @@ def solve_coupling_sdp(
     cap is reached first. The initial primal point is a strictified version
     of the always-feasible product state rho1 (x) rho2 / tr(rho1).
 
-    Rank-deficient marginals are solved on the compression to
-    supp(rho1) (x) supp(rho2) and lifted back. The lifted primal optimizer
-    is exact (its marginals and objective value are unchanged); the dual
-    pair is padded with zeros off the supports, which keeps its objective
-    value but not the full-space operator inequality, so primal values,
-    dual values, and the gap are the true ones while the reported dual
+    The problem is solved on its compression to supp(rho1) (x) supp(rho2)
+    through the states' support isometries V1, V2 and lifted back; for a
+    full-rank marginal V is its eigenbasis and the compression a unitary
+    change of basis. The lifted primal optimizer is exact (its marginals and
+    objective value are unchanged). The dual pair is padded with zeros off
+    the supports, which keeps its objective value but, when a marginal is
+    rank-deficient, not the full-space operator inequality: primal values,
+    dual values, and the gap are the true ones, while the reported dual
     residual refers to the compressed system. The primal residual is
     recomputed against the original marginals.
     """
@@ -256,12 +259,7 @@ def solve_coupling_sdp(
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
     d1, d2 = problem.dims
     a, b1, b2 = problem.subspace.projector, problem.rho1.mat, problem.rho2.mat
-    v1 = linalg.support_isometry(b1)
-    v2 = linalg.support_isometry(b2)
-    r1, r2 = v1.shape[1], v2.shape[1]
-    if r1 == d1 and r2 == d2:
-        return _solve_core(d1, d2, a, b1, b2, eps, max_iter)
-
+    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
     w = np.kron(v1, v2)
     at = linalg.herm(w.conj().T @ a @ w)
     bt1 = linalg.herm(v1.conj().T @ b1 @ v1)
@@ -284,7 +282,7 @@ def solve_coupling_sdp(
         )
 
     try:
-        core = _solve_core(r1, r2, at, bt1, bt2, eps, max_iter)
+        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, max_iter)
     except SolverFailure as err:
         best = lift(err.best) if err.best is not None else None
         raise SolverFailure(str(err), best) from None
@@ -302,9 +300,9 @@ def _solve_core(
 ) -> SdpSolution:
     """Run the interior-point iteration on assembled problem data.
 
-    Requires strictly positive-definite b1, b2 (the caller compresses
-    rank-deficient marginals away) and a <= I so that Z = 2I - a starts
-    strictly feasible; a need not be a projector.
+    Requires strictly positive-definite b1, b2 (solve_coupling_sdp passes
+    the marginals compressed to their supports) and a <= I so that
+    Z = 2I - a starts strictly feasible; a need not be a projector.
     """
     d = d1 * d2
     t = float(np.trace(b1).real)
@@ -445,11 +443,6 @@ def verify_dual_certificate(
     return margin > tol
 
 
-def _spectral_norm(h: np.ndarray) -> float:
-    w = linalg.hermitian_eig(h).eigenvalues
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 def _complete_dual(
     sol: SdpSolution,
     v1: np.ndarray,
@@ -475,11 +468,7 @@ def _complete_dual(
     yt2 = linalg.herm(v2.conj().T @ sol.dual_y2 @ v2)
     w = np.kron(v1, v2)
     at = linalg.herm(w.conj().T @ problem.subspace.projector @ w)
-    slack = float(
-        np.linalg.eigvalsh(
-            _phi_star(yt1, yt2) - at
-        )[0]
-    )
+    slack = float(np.linalg.eigvalsh(_phi_star(yt1, yt2) - at)[0])
     margin = t1 - sol.dual_value
     eta = margin / (4.0 * max(t1, 1.0))
     eta_eff = eta + min(slack, 0.0)
@@ -489,11 +478,7 @@ def _complete_dual(
             f"(margin {margin:.3e}, support-block slack {slack:.3e})",
             sol,
         )
-    spec = max(
-        float(np.abs(np.linalg.eigvalsh(yt1)).max(initial=0.0)),
-        float(np.abs(np.linalg.eigvalsh(yt2)).max(initial=0.0)),
-    )
-    big = 1.0 + spec + 2.0 / eta_eff
+    big = 1.0 + max(np.linalg.norm(yt1, 2), np.linalg.norm(yt2, 2)) + 2.0 / eta_eff
     q1 = np.eye(d1) - v1 @ v1.conj().T
     q2 = np.eye(d2) - v2 @ v2.conj().T
     y1 = linalg.herm(v1 @ (yt1 + eta * np.eye(v1.shape[1])) @ v1.conj().T + big * q1)
@@ -546,13 +531,15 @@ def check_quantum_lifting(
         return LiftingVerdict(True, witness, None, sol)
 
     y1, y2 = sol.dual_y1, sol.dual_y2
-    v1 = linalg.support_isometry(problem.rho1.mat)
-    v2 = linalg.support_isometry(problem.rho2.mat)
-    if v1.shape[1] < d1 or v2.shape[1] < d2:
-        y1, y2 = _complete_dual(sol, v1, v2, problem, t1)
-    y1, y2 = condition_a_transform(y1, y2)
-    y1, y2, _ = shift_positive(y1, y2)
-    norm = max(_spectral_norm(y1), _spectral_norm(y2))
+    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
+    try:
+        if v1.shape[1] < d1 or v2.shape[1] < d2:
+            y1, y2 = _complete_dual(sol, v1, v2, problem, t1)
+        y1, y2 = condition_a_transform(y1, y2)
+        y1, y2, _ = shift_positive(y1, y2)
+        norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
     if norm > 1.0:
         margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(
             y2, problem.rho2

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qcoupling import jsonio, linalg
-from qcoupling.errors import InputError
+from qcoupling.errors import InputError, NumericalError
+from qcoupling.quantum import DensityOperator
 
 from helpers import rand_density, rand_hermitian, rand_unitary
 
@@ -230,6 +231,23 @@ def test_parse_subspace_keeps_a_huge_span_vector():
     assert np.allclose(sub.projector, np.outer([1, 1, 0, 0], [1, 1, 0, 0]) / 2)
 
 
+def _lapack_breaks(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def test_span_svd_failure_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _lapack_breaks)
+    with pytest.raises(NumericalError):
+        linalg.Subspace.from_span([[1.0, 0.0], [1.0, 1.0]])
+
+
+def test_support_eigh_failure_is_a_numerical_error(monkeypatch):
+    rho = DensityOperator(np.diag([0.5, 0.5, 0.0]))
+    monkeypatch.setattr(np.linalg, "eigh", _lapack_breaks)
+    with pytest.raises(NumericalError):
+        rho.support()
+
+
 def test_subspace_full_and_zero():
     assert linalg.Subspace.full(4).rank == 4
     assert linalg.Subspace.zero(4).rank == 0
@@ -239,13 +257,13 @@ def test_subspace_full_and_zero():
 def test_support_of_low_rank_state():
     rng = np.random.default_rng(9)
     rho = rand_density(rng, 5, rank=2)
-    sub = linalg.support(rho.mat)
+    sub = rho.support()
     assert sub.rank == 2
     assert abs(linalg.inner_product(rho.mat, sub.perp)) < 1e-12
 
 
 def test_support_zero_matrix_is_zero_subspace():
-    assert linalg.support(np.zeros((3, 3))).rank == 0
+    assert DensityOperator(np.zeros((3, 3))).support().rank == 0
 
 
 def test_support_matches_expectation_characterization():
@@ -256,7 +274,7 @@ def test_support_matches_expectation_characterization():
         d = int(rng.integers(2, 7))
         r = int(rng.integers(1, d + 1))
         rho = rand_density(rng, d, rank=r).mat
-        p = linalg.support(rho).projector
+        p = DensityOperator(rho).support().projector
         # vectors inside the support see positive mass
         spec = linalg.hermitian_eig(rho)
         for k in range(r):

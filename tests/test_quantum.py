@@ -202,6 +202,19 @@ def test_couplings_imply_equal_trace():
         )
 
 
+def test_couplings_imply_equal_trace_allows_the_trace_norm_bound():
+    # marginals within tol in Frobenius norm can move a d-dimensional trace
+    # by up to sqrt(d) * tol each, so the traces may differ by more than 2*tol
+    tol = 1e-7
+    base = 0.3 * np.eye(3)
+    shift = 0.999 * tol / np.sqrt(3) * np.eye(3)
+    rho = DensityOperator(np.kron(base, base) / 0.9)
+    rho1, rho2 = DensityOperator(base + shift), DensityOperator(base - shift)
+    assert quantum.is_coupling(rho, rho1, rho2, tol)
+    t1, t2 = quantum.couplings_imply_equal_trace(rho, rho1, rho2, tol)
+    assert t1 - t2 == pytest.approx(6 * 0.999 * tol / np.sqrt(3))
+
+
 def test_expectation():
     rho = DensityOperator(np.diag([0.75, 0.25]))
     z = np.diag([1.0, -1.0])

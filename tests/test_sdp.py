@@ -259,6 +259,18 @@ def test_marginals_below_the_old_support_cut_decide(eps):
                 assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
 
 
+def test_planted_near_singular_marginals_decide():
+    # eigenvalue ratios of 1e-8 lie above RANK_TOL, so these marginals keep
+    # full rank and are solved in their eigenbases; every planted input
+    # decides Exists with a witness that re-verifies
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        problem = _planted_near_singular(rng, 3, 1e-8)
+        verdict = sdp.check_quantum_lifting(problem)
+        assert verdict.exists
+        assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+
+
 def test_solve_rejects_trace_mismatch_and_zero_trace():
     rho1 = DensityOperator(np.eye(2) / 2)
     rho2 = DensityOperator(np.eye(2) / 4)
@@ -459,21 +471,51 @@ def test_check_lifting_solves_through_the_module_attribute_once(
 ):
     """check_quantum_lifting reaches the solver through the attribute
     sdp.solve_coupling_sdp, once per nonzero decision, so wrapping that
-    attribute sees (and can time) every solve."""
+    attribute sees (and can time) every solve; each state's support comes
+    from one eigendecomposition, shared by the solve and the certificate."""
     calls = []
     solve = sdp.solve_coupling_sdp
+    eighs = []
+    eigh = np.linalg.eigh
 
     def counting(*args, **kwargs):
         calls.append(solve(*args, **kwargs))
         return calls[-1]
 
+    def counting_eigh(h, *args, **kwargs):
+        eighs.append(h.shape)
+        return eigh(h, *args, **kwargs)
+
     monkeypatch.setattr(sdp, "solve_coupling_sdp", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     problem = make()
     ranks = [np.linalg.matrix_rank(r.mat) for r in (problem.rho1, problem.rho2)]
     assert (ranks == list(problem.dims)) == full_rank
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
     assert len(calls) == 1 and verdict.diagnostics is calls[0]
+    assert len(eighs) == len({id(problem.rho1), id(problem.rho2)})
     zero = DensityOperator(np.zeros((2, 2)))
     sdp.check_quantum_lifting(CouplingProblem(zero, zero, Subspace.full(4)))
     assert len(calls) == 1  # the zero state is decided without a solve
+    assert len(eighs) == len({id(problem.rho1), id(problem.rho2)})
+
+
+def _lapack_breaks(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
+    """A LAPACK failure after the solve, while the compressed dual is
+    completed into a certificate, is a SolverFailure carrying the solution."""
+    solve = sdp.solve_coupling_sdp
+
+    def solve_then_break(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_breaks)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve_coupling_sdp", solve_then_break)
+    with pytest.raises(SolverFailure) as info:
+        sdp.check_quantum_lifting(point_problem())
+    assert info.value.best is not None
