@@ -36,6 +36,9 @@ degeneracy in conic optimization", 2017), where the marginals are positive
 definite, and lifted back (the primal optimizer exactly, the dual pair
 padded with zeros off the supports). For full-rank marginals the
 compression is the change to their eigenbases.
+Every NotExists dual is then completed to a strictly feasible full-space
+pair, with the iterate's own dual residual as its slack bound, at the cost
+of at most a quarter of its trace margin.
 """
 
 from __future__ import annotations
@@ -443,46 +446,34 @@ def verify_dual_certificate(
     return margin > tol
 
 
-def _complete_dual(
-    sol: SdpSolution,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    problem: CouplingProblem,
-    t1: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend a support-compressed dual pair to a full-space feasible one.
+def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
+    """Complete a lifted dual pair to a strictly feasible full-space one.
 
-    The zero-padded dual from a compressed solve satisfies the operator
-    inequality Y1 (x) I + I (x) Y2 >= P only on supp(rho1) (x) supp(rho2);
-    P couples that block to its orthocomplement, where the padding offers
-    nothing. The completion buys a uniform slack eta on the support block
-    (spending eta * tr(rho1) of the trace margin) and raises the
-    orthocomplements by a constant big enough that the Schur-complement
-    bound eta * m >= ||cross||^2 (with ||cross|| <= ||P|| = 1) closes the
-    off-support blocks. Dual feasibility of the result is exact, not
-    approximate; the cost is a certificate whose margin shrinks by a
-    quarter and whose norm grows like 1/margin.
+    The solve keeps Z positive definite with phi*(y) - A = Z - R_d on the
+    support block, so that block's slack is at least -dual_residual. The
+    completion adds eta * I there (spending eta * tr(rho1), at most a
+    quarter of the trace margin), leaving slack eta_eff = eta -
+    dual_residual, and raises the orthocomplements of the supports until
+    their slack is at least 2/eta_eff, so the Schur complement across the
+    cross block (norm at most ||P|| = 1) keeps slack eta_eff/2. For
+    full-rank marginals that is Y1 + eta * I; else the norm grows like
+    1/margin.
     """
-    d1, d2 = problem.dims
-    yt1 = linalg.herm(v1.conj().T @ sol.dual_y1 @ v1)
-    yt2 = linalg.herm(v2.conj().T @ sol.dual_y2 @ v2)
-    w = np.kron(v1, v2)
-    at = linalg.herm(w.conj().T @ problem.subspace.projector @ w)
-    slack = float(np.linalg.eigvalsh(_phi_star(yt1, yt2) - at)[0])
     margin = t1 - sol.dual_value
     eta = margin / (4.0 * max(t1, 1.0))
-    eta_eff = eta + min(slack, 0.0)
+    eta_eff = eta - sol.dual_residual
     if eta_eff <= 0.0:
         raise SolverFailure(
             "trace margin too small to complete the dual certificate "
-            f"(margin {margin:.3e}, support-block slack {slack:.3e})",
+            f"(margin {margin:.3e}, dual residual {sol.dual_residual:.3e})",
             sol,
         )
-    big = 1.0 + max(np.linalg.norm(yt1, 2), np.linalg.norm(yt2, 2)) + 2.0 / eta_eff
-    q1 = np.eye(d1) - v1 @ v1.conj().T
-    q2 = np.eye(d2) - v2 @ v2.conj().T
-    y1 = linalg.herm(v1 @ (yt1 + eta * np.eye(v1.shape[1])) @ v1.conj().T + big * q1)
-    y2 = linalg.herm(v2 @ yt2 @ v2.conj().T + big * q2)
+    y1, y2 = sol.dual_y1, sol.dual_y2
+    big = 1.0 + max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2)) + 2.0 / eta_eff
+    p1 = v1 @ v1.conj().T
+    p2 = v2 @ v2.conj().T
+    y1 = linalg.herm(y1 + eta * p1 + big * (np.eye(y1.shape[0]) - p1))
+    y2 = linalg.herm(y2 + big * (np.eye(y2.shape[0]) - p2))
     return y1, y2
 
 
@@ -496,12 +487,14 @@ def check_quantum_lifting(
     Exists when the SDP optimum reaches tr(rho1) - eps_decide; the witness
     is the cleaned-up optimizer (symmetrized, PSD-projected, trace-matched)
     and must re-verify at 10*eps_solve or the verdict degrades to a solver
-    failure. NotExists returns a certificate built from the dual optimum
-    (condition-A transform, positivity shift, then rescaled to operator
-    norm at most 1 when that keeps the trace gap decisive), verified the
-    same way; for rank-deficient marginals the compressed dual is first
-    completed to a full-space feasible pair. The zero state couples with
-    itself inside any subspace, via the zero witness.
+    failure. NotExists returns a certificate built from the dual optimum:
+    every dual is first completed to a strictly feasible full-space pair,
+    at the cost of at most a quarter of its trace margin, then put through
+    the condition-A transform and the positivity shift, and rescaled to
+    operator norm at most 1 when that keeps the trace gap decisive; it is
+    verified the same way. The zero state couples with itself inside any
+    subspace, via the zero witness. Otherwise eps_decide must lie below
+    tr(rho1), or NotExists could never be reached (InputError).
     """
     t1 = _check_traces(problem)
     d1, d2 = problem.dims
@@ -515,6 +508,11 @@ def check_quantum_lifting(
             0.0, 0.0, 0.0, 0.0, 0.0, 0,
         )
         return LiftingVerdict(True, DensityOperator(zero), None, sol)
+    if eps_decide >= t1:
+        raise InputError(
+            f"eps_decide {eps_decide:.3g} must be below tr(rho1) = {t1:.12g}; "
+            "no coupling could be refuted"
+        )
 
     sol = solve_coupling_sdp(problem, eps_solve)
     tol = 10.0 * eps_solve
@@ -530,11 +528,9 @@ def check_quantum_lifting(
             )
         return LiftingVerdict(True, witness, None, sol)
 
-    y1, y2 = sol.dual_y1, sol.dual_y2
     v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
     try:
-        if v1.shape[1] < d1 or v2.shape[1] < d2:
-            y1, y2 = _complete_dual(sol, v1, v2, problem, t1)
+        y1, y2 = _complete_dual(sol, v1, v2, t1)
         y1, y2 = condition_a_transform(y1, y2)
         y1, y2, _ = shift_positive(y1, y2)
         norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))

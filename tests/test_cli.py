@@ -240,6 +240,21 @@ def test_demo_no_lifting(capsys):
     assert out["trace_gap"] > 1e-6
 
 
+def test_eps_decide_at_or_above_the_trace_exits_one(tmp_path, capsys):
+    # NotExists is out of reach at such a threshold, so no verdict is printed
+    rho1, rho2, sub = point_files(tmp_path)
+    for argv in (
+        ["demo", "no-lifting", "--eps-solve", "0.2", "--eps-decide", "2"],
+        ["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub,
+         "--eps-decide", "1"],
+    ):
+        rc = cli.run(argv)
+        captured = capsys.readouterr()
+        assert rc == 1, argv
+        assert "eps_decide" in captured.err
+        assert captured.out == ""
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     cases = [
         [],  # no subcommand

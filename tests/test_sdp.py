@@ -372,6 +372,23 @@ def test_check_lifting_zero_states_short_circuit():
     assert np.all(verdict.witness.mat == 0)
 
 
+def test_check_lifting_rejects_eps_decide_at_or_above_the_trace():
+    # at such a threshold no coupling can be refuted, so a verdict would be
+    # "exists" whatever the subspace
+    for eps_decide in (1.0, 2.0):
+        with pytest.raises(InputError, match="eps_decide"):
+            sdp.check_quantum_lifting(point_problem(), 0.2, eps_decide)
+    half = DensityOperator(np.eye(2) / 4)
+    with pytest.raises(InputError, match="eps_decide"):
+        sdp.check_quantum_lifting(
+            CouplingProblem(half, half, Subspace.full(4)), eps_decide=0.5
+        )
+    # the zero state is decided before the threshold is read
+    zero = DensityOperator(np.zeros((2, 2)))
+    problem = CouplingProblem(zero, zero, Subspace.full(4))
+    assert sdp.check_quantum_lifting(problem, eps_decide=2.0).exists
+
+
 def test_check_lifting_rejects_trace_mismatch():
     rho1 = DensityOperator(np.eye(2) / 2)
     rho2 = DensityOperator(np.eye(2) / 3)
@@ -506,16 +523,56 @@ def _lapack_breaks(*args, **kwargs):
 
 
 def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
-    """A LAPACK failure after the solve, while the compressed dual is
-    completed into a certificate, is a SolverFailure carrying the solution."""
+    """A LAPACK failure after the solve, while the dual is completed and
+    rescaled into a certificate (spectral norms), is a SolverFailure
+    carrying the solution."""
     solve = sdp.solve_coupling_sdp
 
     def solve_then_break(*args, **kwargs):
         sol = solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_breaks)
+        monkeypatch.setattr(np.linalg, "norm", _lapack_breaks)
         return sol
 
     monkeypatch.setattr(sdp, "solve_coupling_sdp", solve_then_break)
     with pytest.raises(SolverFailure) as info:
         sdp.check_quantum_lifting(point_problem())
     assert info.value.best is not None
+
+
+def test_full_rank_certificates_are_strictly_feasible():
+    """The completion adds a quarter of the margin to the dual slack, so a
+    full-rank NotExists certificate clears its operator inequality by at
+    least a fifth of its own trace margin, not by round-off."""
+    rng = np.random.default_rng(21)
+    seen = 0
+    for k in range(8):
+        d = 2 + k % 2
+        rho1, rho2 = rand_density(rng, d), rand_density(rng, d)
+        sub = rand_subspace(rng, d * d, int(rng.integers(1, d + 1)))
+        problem = CouplingProblem(rho1, rho2, sub)
+        verdict = sdp.check_quantum_lifting(problem)
+        if verdict.exists:
+            continue
+        seen += 1
+        y1, y2 = verdict.certificate
+        diff = np.kron(y1, np.eye(d)) - np.kron(np.eye(d), y2)
+        slack = np.linalg.eigvalsh(sub.perp - diff)[0]
+        margin = quantum.expectation(y1, rho1) - quantum.expectation(y2, rho2)
+        assert margin > 1e-6
+        assert slack >= margin / 5.0
+    assert seen >= 4
+
+
+def test_completion_refuses_a_margin_the_dual_residual_can_eat():
+    """A margin of at most 4 * dual_residual leaves no provable slack, so the
+    completion raises SolverFailure carrying the solution it was given."""
+    d = 2
+    eye = np.eye(d, dtype=np.complex128)
+    sol = sdp.SdpSolution(
+        np.eye(d * d) / (d * d), 0.45 * eye, 0.45 * eye,
+        0.0, 0.9, 0.9, 0.0, 0.025, 7,
+    )
+    assert 1.0 - sol.dual_value <= 4.0 * sol.dual_residual
+    with pytest.raises(SolverFailure, match="margin") as info:
+        sdp._complete_dual(sol, eye, eye, 1.0)
+    assert info.value.best is sol
