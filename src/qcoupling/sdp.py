@@ -36,9 +36,14 @@ degeneracy in conic optimization", 2017), where the marginals are positive
 definite, and lifted back (the primal optimizer exactly, the dual pair
 padded with zeros off the supports). For full-rank marginals the
 compression is the change to their eigenbases.
-Every NotExists dual is then completed to a strictly feasible full-space
-pair, with the iterate's own dual residual as its slack bound, at the cost
-of at most a quarter of its trace margin.
+
+The dual iterates stay feasible up to round-off, so each one bounds the
+optimum from above (weak duality). A decision therefore stops at the first
+dual iterate whose value is below tr(rho1) - eps_decide: it already refutes
+every coupling, and its gap may still be far above eps. Every NotExists
+dual is then completed to a strictly feasible full-space pair, with the
+iterate's own dual residual as its slack bound, at the cost of at most a
+quarter of its trace margin.
 """
 
 from __future__ import annotations
@@ -87,7 +92,10 @@ class LiftingVerdict:
 
     exists=True carries a witness state; exists=False carries a certificate
     pair (Y1, Y2) with P_perp >= Y1 (x) I - I (x) Y2 and
-    tr(rho1 Y1) > tr(rho2 Y2). diagnostics is the underlying solve.
+    tr(rho1 Y1) > tr(rho2 Y2). diagnostics is the underlying solve: for
+    Exists the converged iterate, for NotExists the stopping iterate, the
+    first whose dual refutes every coupling, so its gap and primal residual
+    may be far above eps_solve.
     """
 
     exists: bool
@@ -226,6 +234,12 @@ def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
 
 
+def _check_threshold(name: str, value: float) -> None:
+    """Solver thresholds must be finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _check_traces(problem: CouplingProblem) -> float:
     """tr(rho1), once it is checked to match tr(rho2)."""
     t1 = problem.rho1.trace
@@ -239,13 +253,21 @@ def _check_traces(problem: CouplingProblem) -> float:
 
 
 def solve_coupling_sdp(
-    problem: CouplingProblem, eps: float = EPS_SOLVE, max_iter: int = _MAX_ITER
+    problem: CouplingProblem,
+    eps: float = EPS_SOLVE,
+    max_iter: int = _MAX_ITER,
+    *,
+    dual_target: float | None = None,
 ) -> SdpSolution:
     """Solve the lifting SDP to duality gap and residuals at most eps.
 
-    Raises SolverFailure (with the best iterate attached) if the iteration
-    cap is reached first. The initial primal point is a strictified version
-    of the always-feasible product state rho1 (x) rho2 / tr(rho1).
+    With dual_target set, it also stops at the first iterate with dual
+    residual at most eps and dual value below dual_target, whose gap and
+    primal residual may be far above eps. Raises InputError unless eps is
+    finite and positive, and SolverFailure (with the best iterate attached)
+    if the iteration cap is reached first. The initial primal point is a
+    strictified version of the always-feasible product state
+    rho1 (x) rho2 / tr(rho1).
 
     The problem is solved on its compression to supp(rho1) (x) supp(rho2)
     through the states' support isometries V1, V2 and lifted back; for a
@@ -258,6 +280,7 @@ def solve_coupling_sdp(
     residual refers to the compressed system. The primal residual is
     recomputed against the original marginals.
     """
+    _check_threshold("eps", eps)
     if _check_traces(problem) <= 0.0:
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
     d1, d2 = problem.dims
@@ -285,7 +308,7 @@ def solve_coupling_sdp(
         )
 
     try:
-        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, max_iter)
+        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, max_iter, dual_target)
     except SolverFailure as err:
         best = lift(err.best) if err.best is not None else None
         raise SolverFailure(str(err), best) from None
@@ -300,6 +323,7 @@ def _solve_core(
     b2: np.ndarray,
     eps: float,
     max_iter: int,
+    dual_target: float | None,
 ) -> SdpSolution:
     """Run the interior-point iteration on assembled problem data.
 
@@ -351,7 +375,10 @@ def _solve_core(
             if score < best_score:
                 best_score = score
                 best = snapshot(it)
-            if gap <= eps and pres <= eps and dres <= eps:
+            if dres <= eps and (
+                (gap <= eps and pres <= eps)
+                or (dual_target is not None and dval < dual_target)
+            ):
                 return snapshot(it)
             if it == max_iter:
                 break
@@ -484,18 +511,25 @@ def check_quantum_lifting(
 ) -> LiftingVerdict:
     """Decide whether (rho1, rho2) admits a coupling inside the subspace.
 
-    Exists when the SDP optimum reaches tr(rho1) - eps_decide; the witness
-    is the cleaned-up optimizer (symmetrized, PSD-projected, trace-matched)
-    and must re-verify at 10*eps_solve or the verdict degrades to a solver
-    failure. NotExists returns a certificate built from the dual optimum:
-    every dual is first completed to a strictly feasible full-space pair,
-    at the cost of at most a quarter of its trace margin, then put through
-    the condition-A transform and the positivity shift, and rescaled to
-    operator norm at most 1 when that keeps the trace gap decisive; it is
-    verified the same way. The zero state couples with itself inside any
-    subspace, via the zero witness. Otherwise eps_decide must lie below
-    tr(rho1), or NotExists could never be reached (InputError).
+    The solve stops at the first dual iterate with residual at most
+    eps_solve and value below tr(rho1) - eps_decide; such an iterate
+    refutes every coupling and decides NotExists, and only without one is
+    the primal value read. Exists when the SDP optimum reaches
+    tr(rho1) - eps_decide; the witness is the cleaned-up optimizer
+    (symmetrized, PSD-projected, trace-matched) and must re-verify at
+    10*eps_solve or the verdict degrades to a solver failure. NotExists
+    returns a certificate built from the stopping dual iterate: it is first
+    completed to a strictly feasible full-space pair, at the cost of at most
+    a quarter of its trace margin, then put through the condition-A
+    transform and the positivity shift, and rescaled to operator norm at
+    most 1 when the scaled trace gap still exceeds both eps_decide and
+    10*eps_solve; it is verified the same way. Both thresholds must be
+    finite and positive (InputError). The zero state couples with itself
+    inside any subspace, via the zero witness. Otherwise eps_decide must
+    lie below tr(rho1), or NotExists could never be reached (InputError).
     """
+    _check_threshold("eps_solve", eps_solve)
+    _check_threshold("eps_decide", eps_decide)
     t1 = _check_traces(problem)
     d1, d2 = problem.dims
     d = d1 * d2
@@ -514,9 +548,12 @@ def check_quantum_lifting(
             "no coupling could be refuted"
         )
 
-    sol = solve_coupling_sdp(problem, eps_solve)
+    target = t1 - eps_decide
+    sol = solve_coupling_sdp(problem, eps_solve, dual_target=target)
     tol = 10.0 * eps_solve
-    if t1 - sol.primal_value <= eps_decide:
+    # an early stop's primal iterate need not be feasible
+    refuted = sol.dual_residual <= eps_solve and sol.dual_value < target
+    if not refuted and t1 - sol.primal_value <= eps_decide:
         w = linalg.psd_project(sol.primal_x)
         trw = float(np.trace(w).real)
         if trw > 0.0:
@@ -540,7 +577,7 @@ def check_quantum_lifting(
         margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(
             y2, problem.rho2
         )
-        if margin / norm > eps_decide:
+        if margin / norm > max(eps_decide, tol):
             y1 = y1 / norm
             y2 = y2 / norm
     if not verify_dual_certificate(y1, y2, problem, tol):

@@ -148,9 +148,20 @@ def test_criterion_3_random_quantum_instances():
             failures.append(f"instance {k}: {err}")
             continue
         sol = verdict.diagnostics
-        max_gap = max(max_gap, sol.gap)
-        max_res = max(max_res, sol.primal_residual, sol.dual_residual)
-        if max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-8:
+        if verdict.exists:
+            if max(sol.gap, sol.primal_residual, sol.dual_residual) > 1e-8:
+                failures.append(f"instance {k}: Exists gap/residual above 1e-8")
+        elif not (
+            sol.dual_residual <= sdp.EPS_SOLVE
+            and sol.dual_value < problem.rho1.trace - sdp.EPS_DECIDE
+        ):
+            # NotExists stops at the first dual iterate that refutes every coupling
+            failures.append(f"instance {k}: NotExists iterate does not refute")
+        # the SDP itself still converges on every instance
+        conv = sdp.solve_coupling_sdp(problem)
+        max_gap = max(max_gap, conv.gap)
+        max_res = max(max_res, conv.primal_residual, conv.dual_residual)
+        if max(conv.gap, conv.primal_residual, conv.dual_residual) > 1e-8:
             failures.append(f"instance {k}: gap/residual above 1e-8")
         if verdict.exists:
             if not quantum.is_lifting_witness(verdict.witness, problem, 1e-6):

@@ -240,6 +240,16 @@ def test_demo_no_lifting(capsys):
     assert out["trace_gap"] > 1e-6
 
 
+def test_demo_no_lifting_at_a_coarse_eps_solve(capsys):
+    # the verification tolerance 10 * eps_solve = 0.1 exceeds the trace gap
+    # left after rescaling to norm one, so the certificate stays unscaled
+    rc, out = run_json(capsys, ["demo", "no-lifting", "--eps-solve", "0.01"])
+    assert rc == 0
+    assert out["checker"]["verdict"] == "not_exists"
+    assert out["certificate_valid"] is True
+    assert out["trace_gap"] > 0.1
+
+
 def test_eps_decide_at_or_above_the_trace_exits_one(tmp_path, capsys):
     # NotExists is out of reach at such a threshold, so no verdict is printed
     rho1, rho2, sub = point_files(tmp_path)

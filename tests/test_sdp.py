@@ -219,6 +219,23 @@ def test_near_singular_marginals_decide_or_fail_cleanly(eps):
             assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_near_singular_not_exists_decides_at_the_first_refuting_iterate(eps):
+    # the dual iterate refutes every coupling long before the ill-conditioned
+    # primal converges, so each input decides with a certificate that
+    # re-verifies against the original marginals
+    rng = np.random.default_rng(16)
+    for _ in range(12):
+        problem = CouplingProblem(
+            _near_singular(rng, 3, eps),
+            _near_singular(rng, 3, eps),
+            rand_subspace(rng, 9, int(rng.integers(1, 9))),
+        )
+        verdict = sdp.check_quantum_lifting(problem)
+        assert not verdict.exists
+        assert sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
+
+
 def _planted_near_singular(rng, d, eps):
     """A pure witness with Schmidt spectrum proportional to (1, eps, ..., eps),
     so both marginals are truly near-singular, inside its span plus 0-3
@@ -389,6 +406,35 @@ def test_check_lifting_rejects_eps_decide_at_or_above_the_trace():
     assert sdp.check_quantum_lifting(problem, eps_decide=2.0).exists
 
 
+@pytest.mark.parametrize("value", [float("nan"), -1.0, 0.0, float("inf")])
+def test_thresholds_must_be_finite_and_positive(value):
+    problem = point_problem()
+    with pytest.raises(InputError, match="finite and positive"):
+        sdp.solve_coupling_sdp(problem, value)
+    with pytest.raises(InputError, match="eps_solve"):
+        sdp.check_quantum_lifting(problem, eps_solve=value)
+    with pytest.raises(InputError, match="eps_decide"):
+        sdp.check_quantum_lifting(problem, eps_decide=value)
+    # read before the zero state is decided
+    zero = DensityOperator(np.zeros((2, 2)))
+    with pytest.raises(InputError, match="eps_decide"):
+        sdp.check_quantum_lifting(
+            CouplingProblem(zero, zero, Subspace.full(4)), eps_decide=value
+        )
+
+
+def test_certificate_keeps_its_scale_when_rescaling_would_fail_verification():
+    # at eps_solve = 0.01 verification demands a trace gap above 0.1; the
+    # completed pair has gap about 0.7 but norm about 18, so scaling it to norm
+    # one would leave a gap of about 0.04 and reject a valid certificate
+    problem = point_problem()
+    verdict = sdp.check_quantum_lifting(problem, eps_solve=0.01)
+    assert not verdict.exists
+    y1, y2 = verdict.certificate
+    assert sdp.verify_dual_certificate(y1, y2, problem, tol=0.1)
+    assert max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2)) > 1.0
+
+
 def test_check_lifting_rejects_trace_mismatch():
     rho1 = DensityOperator(np.eye(2) / 2)
     rho2 = DensityOperator(np.eye(2) / 3)
@@ -463,9 +509,40 @@ def test_random_instances_produce_sound_proof_objects():
             y1, y2 = verdict.certificate
             assert sdp.verify_dual_certificate(y1, y2, problem, tol=1e-6)
         sol = verdict.diagnostics
-        assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-8
+        if verdict.exists:
+            assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-8
+        else:
+            # NotExists stops at the first dual iterate that refutes every coupling
+            assert sol.dual_residual <= sdp.EPS_SOLVE
+            assert sol.dual_value < problem.rho1.trace - sdp.EPS_DECIDE
+        # the SDP itself still converges on every instance
+        full = sdp.solve_coupling_sdp(problem)
+        assert max(full.gap, full.primal_residual, full.dual_residual) <= 1e-8
     # the sweep must exercise both branches to mean anything
     assert seen_exists >= 5 and seen_not >= 5
+
+
+def test_not_exists_stops_no_later_than_the_full_solve():
+    # the decision target only adds a way to stop, so the early NotExists
+    # iterate comes no later than convergence of the default solve
+    rng = np.random.default_rng(22)
+    early = full = seen = 0
+    for k in range(12):
+        d = 2 + k % 2
+        rho1, rho2 = rand_density(rng, d), rand_density(rng, d)
+        sub = rand_subspace(rng, d * d, int(rng.integers(1, d + 1)))
+        problem = CouplingProblem(rho1, rho2, sub)
+        verdict = sdp.check_quantum_lifting(problem)
+        if verdict.exists:
+            continue
+        seen += 1
+        stop = sdp.solve_coupling_sdp(problem, dual_target=rho1.trace - sdp.EPS_DECIDE)
+        conv = sdp.solve_coupling_sdp(problem)
+        assert stop.iterations == verdict.diagnostics.iterations
+        assert stop.iterations <= conv.iterations
+        early += stop.iterations
+        full += conv.iterations
+    assert seen >= 4 and early < full
 
 
 def _rank_one_problem():
