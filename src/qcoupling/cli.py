@@ -12,6 +12,7 @@ count), 1 bad input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -38,7 +39,10 @@ def _threshold(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every run shares it."""
     parser = _Parser(prog="qcoupling", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
 

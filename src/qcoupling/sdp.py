@@ -40,10 +40,14 @@ compression is the change to their eigenbases.
 The dual iterates stay feasible up to round-off, so each one bounds the
 optimum from above (weak duality). A decision therefore stops at the first
 dual iterate whose value is below tr(rho1) - eps_decide: it already refutes
-every coupling, and its gap may still be far above eps. Every NotExists
-dual is then completed to a strictly feasible full-space pair, with the
-iterate's own dual residual as its slack bound, at the cost of at most a
-quarter of its trace margin.
+every coupling, and its gap may still be far above eps. The optimum is also
+bounded by tr(rho1), since no coupling puts more mass in the subspace, so a
+decision stops as well at the first primal iterate with residual at most
+eps and value within eps of tr(rho1): it is eps-optimal whatever its dual.
+Every NotExists dual is then completed to a strictly feasible full-space
+pair, with the iterate's own dual residual as its slack bound, at the cost
+of at most a quarter of its trace margin, and turned into a certificate in
+one pass over these trusted arrays.
 """
 
 from __future__ import annotations
@@ -92,10 +96,12 @@ class LiftingVerdict:
 
     exists=True carries a witness state; exists=False carries a certificate
     pair (Y1, Y2) with P_perp >= Y1 (x) I - I (x) Y2 and
-    tr(rho1 Y1) > tr(rho2 Y2). diagnostics is the underlying solve: for
-    Exists the converged iterate, for NotExists the stopping iterate, the
-    first whose dual refutes every coupling, so its gap and primal residual
-    may be far above eps_solve.
+    tr(rho1 Y1) > tr(rho2 Y2). diagnostics is the stopping iterate of the
+    underlying solve. For Exists it is the first primal iterate within
+    eps_solve of tr(rho1), and its gap and dual residual may be far above
+    eps_solve. For NotExists it is, short of a threshold-boundary input,
+    the first whose dual refutes every coupling, and its gap and primal
+    residual may be far above eps_solve.
     """
 
     exists: bool
@@ -261,9 +267,13 @@ def solve_coupling_sdp(
 ) -> SdpSolution:
     """Solve the lifting SDP to duality gap and residuals at most eps.
 
-    With dual_target set, it also stops at the first iterate with dual
-    residual at most eps and dual value below dual_target, whose gap and
-    primal residual may be far above eps. Raises InputError unless eps is
+    With dual_target set (a decision), it also stops at the first iterate
+    that settles the decision: one with dual residual at most eps and dual
+    value below dual_target, whose gap and primal residual may be far above
+    eps, or one with primal residual at most eps and primal value within eps
+    of tr(rho1) and at least dual_target, whose gap and dual residual may
+    be. No coupling puts more than tr(rho1) in the subspace, so the latter
+    is eps-optimal. Raises InputError unless eps is
     finite and positive, and SolverFailure (with the best iterate attached)
     if the iteration cap is reached first. The initial primal point is a
     strictified version of the always-feasible product state
@@ -375,10 +385,14 @@ def _solve_core(
             if score < best_score:
                 best_score = score
                 best = snapshot(it)
-            if dres <= eps and (
-                (gap <= eps and pres <= eps)
-                or (dual_target is not None and dval < dual_target)
-            ):
+            # a decision also stops at the first iterate that settles it: a
+            # dual one that refutes every coupling, or a primal one within
+            # eps of the largest possible value t that meets the target
+            decided = dual_target is not None and (
+                (dres <= eps and dval < dual_target)
+                or (pres <= eps and t - pval <= eps and pval >= dual_target)
+            )
+            if decided or (dres <= eps and gap <= eps and pres <= eps):
                 return snapshot(it)
             if it == max_iter:
                 break
@@ -420,15 +434,29 @@ def _solve_core(
     )
 
 
+def _condition_a(y1: np.ndarray, y2: np.ndarray):
+    """The condition-A transform on trusted Hermitian arrays."""
+    return _eye(y1.shape[0]) - y1, y2
+
+
 def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
     """Swap between dual-feasible pairs and separating pairs: Y1 -> I - Y1.
 
     (Y1 (x) I + I (x) Y2 >= P_X) holds iff (P_perp >= (I-Y1) (x) I - I (x) Y2),
     and applying the map twice returns the original pair.
     """
-    y1 = linalg.hermitize(y1)
-    y2 = linalg.hermitize(y2)
-    return np.eye(y1.shape[0]) - y1, y2
+    return _condition_a(linalg.hermitize(y1), linalg.hermitize(y2))
+
+
+def _shift(y1: np.ndarray, y2: np.ndarray):
+    """The positivity shift on trusted Hermitian arrays, plus the operator
+    norm of the shifted pair: both are PSD, so it is the largest eigenvalue
+    less lam, read off the same two spectra."""
+    w1 = linalg.hermitian_eig(y1).eigenvalues
+    w2 = linalg.hermitian_eig(y2).eigenvalues
+    lam = min(float(w1[-1]), float(w2[-1]))
+    norm = max(float(w1[0]), float(w2[0])) - lam
+    return y1 - lam * _eye(y1.shape[0]), y2 - lam * _eye(y2.shape[0]), lam, norm
 
 
 def shift_positive(y1: np.ndarray, y2: np.ndarray):
@@ -438,13 +466,14 @@ def shift_positive(y1: np.ndarray, y2: np.ndarray):
     Y1 (x) I - I (x) Y2 is unchanged, so the separating inequality is
     preserved exactly; with equal traces the expectation margin is too.
     """
-    y1 = linalg.hermitize(y1)
-    y2 = linalg.hermitize(y2)
-    lam = min(
-        float(linalg.hermitian_eig(y1).eigenvalues[-1]),
-        float(linalg.hermitian_eig(y2).eigenvalues[-1]),
+    return _shift(linalg.hermitize(y1), linalg.hermitize(y2))[:3]
+
+
+def _margin(y1: np.ndarray, y2: np.ndarray, problem: CouplingProblem) -> float:
+    """Trace gap tr(rho1 Y1) - tr(rho2 Y2) of a trusted Hermitian pair."""
+    return float(
+        np.vdot(y1, problem.rho1.mat).real - np.vdot(y2, problem.rho2.mat).real
     )
-    return y1 - lam * np.eye(y1.shape[0]), y2 - lam * np.eye(y2.shape[0]), lam
 
 
 def verify_dual_certificate(
@@ -457,20 +486,17 @@ def verify_dual_certificate(
 
     True iff P_perp - (Y1 (x) I - I (x) Y2) is PSD within tol and
     tr(rho1 Y1) > tr(rho2 Y2) + tol. Such a pair refutes every candidate
-    witness at once.
+    witness at once. The pair is validated once; the difference is formed
+    by broadcasting, as Y1 (x) I + I (x) (-Y2).
     """
     y1 = linalg.hermitize(y1)
     y2 = linalg.hermitize(y2)
     d1, d2 = problem.dims
     if y1.shape[0] != d1 or y2.shape[0] != d2:
         raise InputError("certificate dimensions do not match the problem")
-    diff = np.kron(y1, np.eye(d2)) - np.kron(np.eye(d1), y2)
-    if not linalg.is_psd(problem.subspace.perp - diff, tol):
+    if not linalg.is_psd(problem.subspace.perp - _phi_star(y1, -y2), tol):
         return False
-    margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(
-        y2, problem.rho2
-    )
-    return margin > tol
+    return _margin(y1, y2, problem) > tol
 
 
 def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
@@ -499,9 +525,32 @@ def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
     big = 1.0 + max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2)) + 2.0 / eta_eff
     p1 = v1 @ v1.conj().T
     p2 = v2 @ v2.conj().T
-    y1 = linalg.herm(y1 + eta * p1 + big * (np.eye(y1.shape[0]) - p1))
-    y2 = linalg.herm(y2 + big * (np.eye(y2.shape[0]) - p2))
+    y1 = linalg.herm(y1 + eta * p1 + big * (_eye(y1.shape[0]) - p1))
+    y2 = linalg.herm(y2 + big * (_eye(y2.shape[0]) - p2))
     return y1, y2
+
+
+def _refute(
+    sol: SdpSolution, problem: CouplingProblem, t1: float, eps_decide: float, tol: float
+) -> LiftingVerdict:
+    """The NotExists verdict carried by sol's dual, once its certificate
+    verifies at tol; SolverFailure (carrying sol) otherwise. The certificate
+    is built in one pass over trusted arrays: completed, condition-A
+    transformed, shifted to PSD, and rescaled to operator norm 1 when its
+    scaled trace gap still exceeds both eps_decide and tol."""
+    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
+    try:
+        y1, y2 = _condition_a(*_complete_dual(sol, v1, v2, t1))
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
+    y1, y2, _, norm = _shift(y1, y2)
+    if norm > 1.0 and _margin(y1, y2, problem) / norm > max(eps_decide, tol):
+        y1, y2 = y1 / norm, y2 / norm
+    if not verify_dual_certificate(y1, y2, problem, tol):
+        raise SolverFailure(
+            "dual certificate failed verification at 10*eps_solve", sol
+        )
+    return LiftingVerdict(False, None, (y1, y2), sol)
 
 
 def check_quantum_lifting(
@@ -514,19 +563,23 @@ def check_quantum_lifting(
     The solve stops at the first dual iterate with residual at most
     eps_solve and value below tr(rho1) - eps_decide; such an iterate
     refutes every coupling and decides NotExists, and only without one is
-    the primal value read. Exists when the SDP optimum reaches
-    tr(rho1) - eps_decide; the witness is the cleaned-up optimizer
-    (symmetrized, PSD-projected, trace-matched) and must re-verify at
-    10*eps_solve or the verdict degrades to a solver failure. NotExists
-    returns a certificate built from the stopping dual iterate: it is first
-    completed to a strictly feasible full-space pair, at the cost of at most
-    a quarter of its trace margin, then put through the condition-A
-    transform and the positivity shift, and rescaled to operator norm at
-    most 1 when the scaled trace gap still exceeds both eps_decide and
-    10*eps_solve; it is verified the same way. Both thresholds must be
-    finite and positive (InputError). The zero state couples with itself
-    inside any subspace, via the zero witness. Otherwise eps_decide must
-    lie below tr(rho1), or NotExists could never be reached (InputError).
+    the primal value read. It also stops at the first primal iterate with
+    residual at most eps_solve and value within eps_solve of tr(rho1).
+    Exists when the primal value reaches tr(rho1) - eps_decide; the witness
+    is the cleaned-up primal iterate (symmetrized, PSD-projected,
+    trace-matched) and must re-verify at 10*eps_solve. If it does not, the
+    certificate of the same solve is tried, and NotExists is decided when it
+    verifies; otherwise the verdict degrades to a solver failure. NotExists
+    returns a certificate built from the stopping dual iterate in one pass:
+    it is first completed to a strictly feasible full-space pair, at the
+    cost of at most a quarter of its trace margin, then put through the
+    condition-A transform and the positivity shift, and rescaled to
+    operator norm at most 1 when the scaled trace gap still exceeds both
+    eps_decide and 10*eps_solve; it is verified at 10*eps_solve. Both
+    thresholds must be finite and positive (InputError). The zero state
+    couples with itself inside any subspace, via the zero witness.
+    Otherwise eps_decide must lie below tr(rho1), or NotExists could never
+    be reached (InputError).
     """
     _check_threshold("eps_solve", eps_solve)
     _check_threshold("eps_decide", eps_decide)
@@ -553,35 +606,20 @@ def check_quantum_lifting(
     tol = 10.0 * eps_solve
     # an early stop's primal iterate need not be feasible
     refuted = sol.dual_residual <= eps_solve and sol.dual_value < target
-    if not refuted and t1 - sol.primal_value <= eps_decide:
-        w = linalg.psd_project(sol.primal_x)
-        trw = float(np.trace(w).real)
-        if trw > 0.0:
-            w = w * (t1 / trw)
-        witness = DensityOperator(w)
-        if not quantum.is_lifting_witness(witness, problem, tol):
-            raise SolverFailure(
-                "witness cleanup pushed residuals beyond 10*eps_solve", sol
-            )
+    if refuted or t1 - sol.primal_value > eps_decide:
+        return _refute(sol, problem, t1, eps_decide, tol)
+    w = linalg.psd_project(sol.primal_x)
+    trw = float(np.trace(w).real)
+    if trw > 0.0:
+        w = w * (t1 / trw)
+    witness = DensityOperator(w)
+    if quantum.is_lifting_witness(witness, problem, tol):
         return LiftingVerdict(True, witness, None, sol)
-
-    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
+    # within eps_decide of the threshold the dual may still prove that no
+    # coupling exists; a certificate that verifies decides
     try:
-        y1, y2 = _complete_dual(sol, v1, v2, t1)
-        y1, y2 = condition_a_transform(y1, y2)
-        y1, y2, _ = shift_positive(y1, y2)
-        norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
-    if norm > 1.0:
-        margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(
-            y2, problem.rho2
-        )
-        if margin / norm > max(eps_decide, tol):
-            y1 = y1 / norm
-            y2 = y2 / norm
-    if not verify_dual_certificate(y1, y2, problem, tol):
+        return _refute(sol, problem, t1, eps_decide, tol)
+    except SolverFailure:
         raise SolverFailure(
-            "dual certificate failed verification at 10*eps_solve", sol
-        )
-    return LiftingVerdict(False, None, (y1, y2), sol)
+            "witness cleanup pushed residuals beyond 10*eps_solve", sol
+        ) from None

@@ -177,6 +177,34 @@ def test_cross_check_subcommand(tmp_path, capsys):
     assert out["witness_roundtrip_error"] <= 1e-6
 
 
+def test_back_to_back_runs_match_separate_runs(tmp_path, capsys):
+    # the parser is built once per process; no run may inherit the previous
+    # run's subcommand, thresholds or defaults
+    rho1, rho2, sub = bell_files(tmp_path)
+    p1, p2, psub = point_files(tmp_path)
+    mu = jwrite(tmp_path, "mu.json", {"num": [1, 1], "den": [2, 2]})
+    eq = jwrite(tmp_path, "eq.json", {"m": 2, "n": 2, "pairs": [[0, 0], [1, 1]]})
+    runs = [
+        ["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub,
+         "--eps-solve", "1e-6"],
+        ["cross-check", "--mu1", mu, "--mu2", mu, "--relation", eq, "--eps-decide", "1e-3"],
+        ["demo", "no-lifting", "--eps-solve", "0.01"],
+        ["check-lifting", "--rho1", p1, "--rho2", p2, "--subspace", psub],
+        ["demo", "bell", "--dim", "3"],
+        ["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub],
+    ]
+    separate = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        assert cli.run(argv) == 0
+        separate.append(capsys.readouterr().out)
+    cli._build_parser.cache_clear()
+    for argv, want in zip(runs, separate):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == want
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_out_flag_writes_file_and_silences_stdout(tmp_path, capsys):
     mu = jwrite(tmp_path, "mu.json", {"weights": [1.0]})
     full = jwrite(tmp_path, "r.json", {"m": 1, "n": 1, "pairs": [[0, 0]]})

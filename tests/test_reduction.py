@@ -10,7 +10,7 @@ from qcoupling.classical import Relation
 from qcoupling.errors import InputError
 from qcoupling.quantum import CouplingProblem, DensityOperator
 
-from helpers import all_relations, rand_matched_rationals
+from helpers import all_relations, rand_matched_rationals, rand_relation
 
 HALF = [Fr(1, 2), Fr(1, 2)]
 
@@ -117,6 +117,48 @@ def test_cross_check_rejects_mismatched_totals():
     with pytest.raises(InputError):
         reduction.cross_check([Fr(1, 2), Fr(1, 2)], [Fr(1, 3), Fr(1, 3)],
                               Relation.full(2, 2))
+
+
+def test_threshold_boundary_input_decides_with_a_certificate():
+    # the optimum 1 - 1e-4 lies within eps_decide = 1e-3 of tr(rho1), so the
+    # primal side reads Exists, yet no coupling puts all its mass in R and the
+    # cleaned-up optimizer cannot verify at 10*eps_solve; the dual of the same
+    # solve proves NotExists, as max-flow finds
+    mu1, mu2 = [0.5001, 0.4999], [0.5, 0.5]
+    rel = Relation.from_pairs(2, 2, [(0, 0), (1, 1)])
+    problem = embedded_problem(mu1, mu2, rel)
+    verdict = sdp.check_quantum_lifting(problem, eps_decide=1e-3)
+    assert not verdict.exists
+    assert problem.rho1.trace - verdict.diagnostics.primal_value <= 1e-3
+    y1, y2 = verdict.certificate
+    assert sdp.verify_dual_certificate(y1, y2, problem, 10 * sdp.EPS_SOLVE)
+    assert not classical.check_lifting_maxflow(mu1, mu2, rel).exists
+    report = reduction.cross_check(mu1, mu2, rel, eps_decide=1e-3)
+    assert report.agreement
+    assert report.quantum_verdict == "not_exists"
+
+
+def test_theorem_2_decisions_stop_no_later_than_the_full_solve():
+    # the primal early stop decides Exists at the first eps-optimal iterate:
+    # verdicts still match max-flow, every witness re-verifies, and no
+    # decision takes more iterations than the solve without a target
+    rng = np.random.default_rng(64)
+    early = full = 0
+    for _ in range(64):
+        mu1, mu2 = rand_matched_rationals(rng, 3, 3)
+        rel = rand_relation(rng, 3, 3)
+        problem = embedded_problem(mu1, mu2, rel)
+        verdict = sdp.check_quantum_lifting(problem)
+        assert verdict.exists == classical.check_lifting_maxflow(mu1, mu2, rel).exists
+        if not verdict.exists:
+            continue
+        assert quantum.is_lifting_witness(verdict.witness, problem, 1e-7)
+        if problem.rho1.trace > 0:
+            conv = sdp.solve_coupling_sdp(problem)
+            assert verdict.diagnostics.iterations <= conv.iterations
+            early += verdict.diagnostics.iterations
+            full += conv.iterations
+    assert full >= 40 and early < full
 
 
 def test_quantum_verdict_matches_exhaustive_oracle_on_two_by_two():

@@ -350,6 +350,73 @@ def test_verify_dual_certificate_accepts_and_rejects():
         sdp.verify_dual_certificate(np.eye(3), y2, problem)
 
 
+def _public_certificate(sol, problem):
+    """The certificate pipeline through the validating public steps, with the
+    rescale's operator norm taken by SVD."""
+    t1 = problem.rho1.trace
+    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
+    y1, y2 = sdp._complete_dual(sol, v1, v2, t1)
+    y1, y2 = sdp.condition_a_transform(y1, y2)
+    y1, y2, _ = sdp.shift_positive(y1, y2)
+    norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))
+    margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(y2, problem.rho2)
+    if norm > 1.0 and margin / norm > max(sdp.EPS_DECIDE, 10 * sdp.EPS_SOLVE):
+        return y1 / norm, y2 / norm
+    return y1, y2
+
+
+@pytest.mark.parametrize("rank", [None, 1], ids=["full-rank", "rank-deficient"])
+def test_one_pass_certificate_matches_the_public_pipeline(rank):
+    rng = np.random.default_rng(31)
+    seen = 0
+    for k in range(16):
+        d1, d2 = 2 + k % 2, 2 + k // 2 % 2
+        problem = CouplingProblem(
+            rand_density(rng, d1, rank=rank),
+            rand_density(rng, d2, rank=rank),
+            rand_subspace(rng, d1 * d2, int(rng.integers(1, d1 * d2))),
+        )
+        verdict = sdp.check_quantum_lifting(problem)
+        if verdict.exists:
+            continue
+        seen += 1
+        for got, want in zip(verdict.certificate, _public_certificate(verdict.diagnostics, problem)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert seen >= 6
+
+
+def _verify_by_kron(y1, y2, problem, tol):
+    d1, d2 = problem.dims
+    diff = np.kron(y1, np.eye(d2)) - np.kron(np.eye(d1), y2)
+    if not linalg.is_psd(problem.subspace.perp - diff, tol):
+        return False
+    return quantum.expectation(y1, problem.rho1) - quantum.expectation(y2, problem.rho2) > tol
+
+
+def test_verify_dual_certificate_matches_the_kron_formula():
+    # accepted certificates, the same pairs rejected on their trace gap alone,
+    # and random pairs that break the operator inequality, with d1 != d2
+    rng = np.random.default_rng(32)
+    answers = []
+    for k in range(24):
+        d1, d2 = (2, 3) if k % 2 else (3, 2)
+        problem = CouplingProblem(
+            rand_density(rng, d1), rand_density(rng, d2),
+            rand_subspace(rng, d1 * d2, int(rng.integers(1, d1 + 1))),
+        )
+        verdict = sdp.check_quantum_lifting(problem)
+        pairs = [((rand_hermitian(rng, d1), rand_hermitian(rng, d2)), 1e-7)]
+        if not verdict.exists:
+            y1, y2 = verdict.certificate
+            margin = quantum.expectation(y1, problem.rho1) - quantum.expectation(y2, problem.rho2)
+            pairs += [((y1, y2), 1e-7), ((y1, y2), 2.0 * margin)]
+        for (y1, y2), tol in pairs:
+            ok = sdp.verify_dual_certificate(y1, y2, problem, tol)
+            assert ok == _verify_by_kron(y1, y2, problem, tol)
+            answers.append(ok)
+    assert answers.count(True) >= 6 and answers.count(False) >= 12
+
+
 # ---------------------------------------------------------------------------
 # end-to-end decisions
 
@@ -510,7 +577,9 @@ def test_random_instances_produce_sound_proof_objects():
             assert sdp.verify_dual_certificate(y1, y2, problem, tol=1e-6)
         sol = verdict.diagnostics
         if verdict.exists:
-            assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-8
+            # Exists stops at the first primal iterate within eps of tr(rho1)
+            assert sol.primal_residual <= sdp.EPS_SOLVE
+            assert problem.rho1.trace - sol.primal_value <= sdp.EPS_SOLVE
         else:
             # NotExists stops at the first dual iterate that refutes every coupling
             assert sol.dual_residual <= sdp.EPS_SOLVE
