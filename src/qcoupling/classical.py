@@ -87,9 +87,6 @@ class Relation:
     def equality(cls, n: int) -> "Relation":
         return cls(n, n, frozenset((i, i) for i in range(n)))
 
-    def membership(self) -> list[list[bool]]:
-        return [[(i, j) in self.pairs for j in range(self.n)] for i in range(self.m)]
-
 
 def relation_image(relation: Relation, s) -> set:
     """Image R(S) = {j : some i in S with (i,j) in R}."""
@@ -102,10 +99,12 @@ def relation_image(relation: Relation, s) -> set:
 
 def marginals(joint) -> tuple[list, list]:
     """Row sums and column sums of a joint sub-distribution."""
-    rows = check_joint(joint)
-    mu1 = [sum(r) for r in rows]
-    mu2 = [sum(r[j] for r in rows) for j in range(len(rows[0]))]
-    return mu1, mu2
+    return _sums(check_joint(joint))
+
+
+def _sums(rows) -> tuple[list, list]:
+    """``marginals`` of a validated grid."""
+    return [sum(r) for r in rows], [sum(r[j] for r in rows) for j in range(len(rows[0]))]
 
 
 def is_lifting_witness_classical(
@@ -120,7 +119,12 @@ def is_lifting_witness_classical(
         raise InputError("joint shape does not match the relation")
     if len(mu1) != relation.m or len(mu2) != relation.n:
         raise InputError("marginal sizes do not match the relation")
-    got1, got2 = marginals(rows)
+    return _is_witness(rows, mu1, mu2, relation, tol)
+
+
+def _is_witness(rows, mu1, mu2, relation: Relation, tol: float) -> bool:
+    """``is_lifting_witness_classical`` on validated lists of matching sizes."""
+    got1, got2 = _sums(rows)
     if any(abs(a - b) > tol for a, b in zip(got1, mu1)):
         return False
     if any(abs(a - b) > tol for a, b in zip(got2, mu2)):

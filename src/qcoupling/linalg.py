@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * the composite space H1 (x) H2 with dims (d1, d2) uses the index map
   (i, k) -> i * d2 + k, which is what ``numpy.kron`` produces;
 * Hermitian data is symmetrized once at the boundary (``hermitize``)
-  and trusted afterwards;
+  and trusted afterwards, and so are states: the public constructors
+  validate, states valid by construction are built unchecked, and the
+  eigen routines share ``_eig``, the Jacobi kernel for trusted input;
 * one support rule, ``support_mask``, serves states, the lifting solver's
   marginal compression and spans: a direction whose weight is at most
   RANK_TOL times the largest weight counts as absent.
@@ -124,14 +126,20 @@ class Spectrum:
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition by cyclic Jacobi rotations (complex Givens).
+    """Eigendecomposition of Hermitian h, validated; see ``_eig``."""
+    return _eig(hermitize(h))
+
+
+def _eig(h: np.ndarray) -> Spectrum:
+    """Eigendecomposition by cyclic Jacobi rotations (complex Givens): the
+    unvalidated kernel for trusted Hermitian data, which it leaves intact.
 
     Sweeps the strict upper triangle, annihilating one off-diagonal entry
     per rotation, until the off-diagonal Frobenius norm falls below
     1e-12 * ||H||_F. Caps at 100 sweeps and raises NumericalError if the
     cap is hit, which for Hermitian input does not happen in practice.
     """
-    a = hermitize(h)
+    a = np.array(h, dtype=np.complex128)
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
     if d == 1:
@@ -183,13 +191,17 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
 
 def is_psd(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """True iff the smallest eigenvalue of Hermitian h is >= -tol."""
-    w = hermitian_eig(h).eigenvalues
-    return bool(w[-1] >= -tol)
+    return _is_psd(hermitize(h), tol)
+
+
+def _is_psd(h: np.ndarray, tol: float) -> bool:
+    """``is_psd`` on trusted Hermitian data."""
+    return bool(_eig(h).eigenvalues[-1] >= -tol)
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to 0."""
-    s = hermitian_eig(h)
+    s = _eig(hermitize(h))
     w = np.clip(s.eigenvalues, 0.0, None)
     return (s.eigenvectors * w) @ s.eigenvectors.conj().T
 

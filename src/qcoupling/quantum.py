@@ -30,13 +30,22 @@ class DensityOperator:
 
     def __post_init__(self):
         m = linalg.hermitize(self.mat, PSD_TOL)
-        if not linalg.is_psd(m, PSD_TOL):
+        if not linalg._is_psd(m, PSD_TOL):
             raise InputError("density operator is not positive semidefinite")
         tr = float(np.trace(m).real)
         if tr > 1.0 + PSD_TOL:
             raise InputError(f"density operator has trace {tr:.12g} > 1")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "DensityOperator":
+        """The state of a complex matrix that is Hermitian, PSD and of trace
+        at most one by construction, unchecked; mat becomes read-only."""
+        mat.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "mat", mat)
+        return state
 
     @property
     def dim(self) -> int:
@@ -162,7 +171,7 @@ def coupling_identity_basis(
     |ii> whose weights p_i the support rule ``linalg.support_mask`` keeps.
     """
     if basis is None:
-        spec = linalg.hermitian_eig(rho.mat)
+        spec = linalg._eig(rho.mat)
         weights, vectors = spec.eigenvalues, spec.eigenvectors
     else:
         vectors = linalg.as_matrix(basis)

@@ -38,10 +38,13 @@ class EmbeddingReport:
     agreement: bool
 
 
+def _diag(weights) -> np.ndarray:
+    return np.diag([float(w) for w in weights]).astype(np.complex128)
+
+
 def embed_distribution(weights) -> DensityOperator:
     """Diagonal state with rho[i, i] = mu(i)."""
-    weights = classical.check_subdistribution(weights)
-    return DensityOperator(np.diag([float(w) for w in weights]).astype(np.complex128))
+    return DensityOperator(_diag(classical.check_subdistribution(weights)))
 
 
 def embed_relation(relation: Relation) -> linalg.Subspace:
@@ -57,12 +60,7 @@ def embed_relation(relation: Relation) -> linalg.Subspace:
 def embed_joint(joint) -> DensityOperator:
     """Diagonal operator on the product space with mu(i, j) at index i*n+j."""
     rows = classical.check_joint(joint)
-    m, n = len(rows), len(rows[0])
-    diag = np.zeros(m * n)
-    for i in range(m):
-        for j in range(n):
-            diag[linalg.pair_index(i, j, n)] = float(rows[i][j])
-    return DensityOperator(np.diag(diag).astype(np.complex128))
+    return DensityOperator(_diag(w for r in rows for w in r))
 
 
 def extract_joint(rho: DensityOperator, m: int, n: int) -> list[list[float]]:
@@ -96,43 +94,28 @@ def cross_check(
     Classical Exists: the max-flow witness is embedded and must verify
     quantum-side. Quantum Exists: the SDP witness's diagonal is extracted
     and must verify classical-side at 10*eps_solve. A translation failure
-    is a numerical failure, not a verdict.
+    is a numerical failure, not a verdict. Max-flow validates the weights,
+    so the diagonal states, the embedded witness among them, are built
+    unchecked.
     """
     cv = classical.check_lifting_maxflow(mu1, mu2, relation)
-    problem = CouplingProblem(
-        embed_distribution(mu1), embed_distribution(mu2), embed_relation(relation)
-    )
+    state = lambda weights: DensityOperator._trusted(_diag(weights))
+    problem = CouplingProblem(state(mu1), state(mu2), embed_relation(relation))
     qv = sdp.check_quantum_lifting(problem, eps_solve, eps_decide)
 
     roundtrip = 0.0
     if cv.exists:
-        embedded = embed_joint(cv.witness)
-        dev = max(
-            quantum.marginal_deviation(embedded, problem.rho1, problem.rho2)
-        )
-        roundtrip = max(roundtrip, dev)
+        embedded = state(w for r in cv.witness for w in r)
+        roundtrip = max(quantum.marginal_deviation(embedded, problem.rho1, problem.rho2))
         if not quantum.is_lifting_witness(embedded, problem, 10.0 * eps_solve):
-            raise NumericalError(
-                "embedded classical witness failed quantum verification"
-            )
+            raise NumericalError("embedded classical witness failed quantum verification")
     if qv.exists:
         joint = extract_joint(qv.witness, relation.m, relation.n)
-        flo1 = [float(w) for w in mu1]
-        flo2 = [float(w) for w in mu2]
-        ext1, ext2 = classical.marginals(joint)
-        dev = max(
-            [abs(a - b) for a, b in zip(ext1, flo1)]
-            + [abs(a - b) for a, b in zip(ext2, flo2)]
-        )
-        roundtrip = max(roundtrip, dev)
-        if not classical.is_lifting_witness_classical(
-            joint, flo1, flo2, relation, 10.0 * eps_solve
-        ):
-            raise NumericalError(
-                "extracted quantum witness failed classical verification"
-            )
+        flo1, flo2 = [float(w) for w in mu1], [float(w) for w in mu2]
+        ext1, ext2 = classical._sums(joint)
+        roundtrip = max([roundtrip] + [abs(a - b) for a, b in zip(ext1 + ext2, flo1 + flo2)])
+        if not classical._is_witness(joint, flo1, flo2, relation, 10.0 * eps_solve):
+            raise NumericalError("extracted quantum witness failed classical verification")
 
     tag = lambda exists: "exists" if exists else "not_exists"
-    return EmbeddingReport(
-        tag(cv.exists), tag(qv.exists), roundtrip, cv.exists == qv.exists
-    )
+    return EmbeddingReport(tag(cv.exists), tag(qv.exists), roundtrip, cv.exists == qv.exists)

@@ -113,22 +113,13 @@ class LiftingVerdict:
 def _herm_basis(n: int) -> np.ndarray:
     """Orthonormal real basis of Herm(n), ordered diag / sym / antisym,
     stacked as an (n*n, n, n) array."""
-    iu = np.triu_indices(n, 1)
-    mats = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        mats.append(e)
-    for i, j in zip(*iu):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, j] = e[j, i] = 1.0 / _SQRT2
-        mats.append(e)
-    for i, j in zip(*iu):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, j] = 1j / _SQRT2
-        e[j, i] = -1j / _SQRT2
-        mats.append(e)
-    return np.stack(mats)
+    i, j = np.triu_indices(n, 1)
+    k = np.arange(i.size)
+    sym = np.zeros((i.size, n, n), dtype=np.complex128)
+    anti = np.zeros_like(sym)
+    sym[k, i, j] = sym[k, j, i] = 1.0 / _SQRT2
+    anti[k, i, j], anti[k, j, i] = 1j / _SQRT2, -1j / _SQRT2
+    return np.concatenate([np.eye(n, dtype=np.complex128)[:, None] * np.eye(n), sym, anti])
 
 
 def _coords(t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -452,8 +443,7 @@ def _shift(y1: np.ndarray, y2: np.ndarray):
     """The positivity shift on trusted Hermitian arrays, plus the operator
     norm of the shifted pair: both are PSD, so it is the largest eigenvalue
     less lam, read off the same two spectra."""
-    w1 = linalg.hermitian_eig(y1).eigenvalues
-    w2 = linalg.hermitian_eig(y2).eigenvalues
+    w1, w2 = linalg._eig(y1).eigenvalues, linalg._eig(y2).eigenvalues
     lam = min(float(w1[-1]), float(w2[-1]))
     norm = max(float(w1[0]), float(w2[0])) - lam
     return y1 - lam * _eye(y1.shape[0]), y2 - lam * _eye(y2.shape[0]), lam, norm
@@ -486,17 +476,20 @@ def verify_dual_certificate(
 
     True iff P_perp - (Y1 (x) I - I (x) Y2) is PSD within tol and
     tr(rho1 Y1) > tr(rho2 Y2) + tol. Such a pair refutes every candidate
-    witness at once. The pair is validated once; the difference is formed
-    by broadcasting, as Y1 (x) I + I (x) (-Y2).
+    witness at once. The pair is validated, then tested by ``_verify``.
     """
-    y1 = linalg.hermitize(y1)
-    y2 = linalg.hermitize(y2)
+    y1, y2 = linalg.hermitize(y1), linalg.hermitize(y2)
     d1, d2 = problem.dims
     if y1.shape[0] != d1 or y2.shape[0] != d2:
         raise InputError("certificate dimensions do not match the problem")
-    if not linalg.is_psd(problem.subspace.perp - _phi_star(y1, -y2), tol):
-        return False
-    return _margin(y1, y2, problem) > tol
+    return _verify(y1, y2, problem, tol)
+
+
+def _verify(y1: np.ndarray, y2: np.ndarray, problem: CouplingProblem, tol: float) -> bool:
+    """The certificate test on a trusted Hermitian pair of the problem's
+    dimensions; the difference is formed by broadcasting, as Y1 (x) I + I (x) (-Y2)."""
+    diff = linalg.herm(problem.subspace.perp - _phi_star(y1, -y2))
+    return linalg._is_psd(diff, tol) and _margin(y1, y2, problem) > tol
 
 
 def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
@@ -546,10 +539,8 @@ def _refute(
     y1, y2, _, norm = _shift(y1, y2)
     if norm > 1.0 and _margin(y1, y2, problem) / norm > max(eps_decide, tol):
         y1, y2 = y1 / norm, y2 / norm
-    if not verify_dual_certificate(y1, y2, problem, tol):
-        raise SolverFailure(
-            "dual certificate failed verification at 10*eps_solve", sol
-        )
+    if not _verify(y1, y2, problem, tol):
+        raise SolverFailure("dual certificate failed verification at 10*eps_solve", sol)
     return LiftingVerdict(False, None, (y1, y2), sol)
 
 
@@ -566,8 +557,9 @@ def check_quantum_lifting(
     the primal value read. It also stops at the first primal iterate with
     residual at most eps_solve and value within eps_solve of tr(rho1).
     Exists when the primal value reaches tr(rho1) - eps_decide; the witness
-    is the cleaned-up primal iterate (symmetrized, PSD-projected,
-    trace-matched) and must re-verify at 10*eps_solve. If it does not, the
+    is the cleaned-up primal iterate, PSD-projected (its one diagonalization),
+    trace-matched and symmetrized, so a state by construction; it must
+    re-verify at 10*eps_solve (``quantum.is_lifting_witness``). If not, the
     certificate of the same solve is tried, and NotExists is decided when it
     verifies; otherwise the verdict degrades to a solver failure. NotExists
     returns a certificate built from the stopping dual iterate in one pass:
@@ -575,11 +567,11 @@ def check_quantum_lifting(
     cost of at most a quarter of its trace margin, then put through the
     condition-A transform and the positivity shift, and rescaled to
     operator norm at most 1 when the scaled trace gap still exceeds both
-    eps_decide and 10*eps_solve; it is verified at 10*eps_solve. Both
-    thresholds must be finite and positive (InputError). The zero state
-    couples with itself inside any subspace, via the zero witness.
-    Otherwise eps_decide must lie below tr(rho1), or NotExists could never
-    be reached (InputError).
+    eps_decide and 10*eps_solve; ``verify_dual_certificate``'s test, less its
+    input checks, verifies it at 10*eps_solve. Both thresholds must be
+    finite and positive (InputError). The zero state couples with itself
+    inside any subspace, via the zero witness. Otherwise eps_decide must
+    lie below tr(rho1), or NotExists could never be reached (InputError).
     """
     _check_threshold("eps_solve", eps_solve)
     _check_threshold("eps_decide", eps_decide)
@@ -594,7 +586,7 @@ def check_quantum_lifting(
             np.zeros((d2, d2), dtype=np.complex128),
             0.0, 0.0, 0.0, 0.0, 0.0, 0,
         )
-        return LiftingVerdict(True, DensityOperator(zero), None, sol)
+        return LiftingVerdict(True, DensityOperator._trusted(zero), None, sol)
     if eps_decide >= t1:
         raise InputError(
             f"eps_decide {eps_decide:.3g} must be below tr(rho1) = {t1:.12g}; "
@@ -612,7 +604,7 @@ def check_quantum_lifting(
     trw = float(np.trace(w).real)
     if trw > 0.0:
         w = w * (t1 / trw)
-    witness = DensityOperator(w)
+    witness = DensityOperator._trusted(linalg.herm(w))
     if quantum.is_lifting_witness(witness, problem, tol):
         return LiftingVerdict(True, witness, None, sol)
     # within eps_decide of the threshold the dual may still prove that no
