@@ -213,7 +213,13 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^d held as its orthogonal projector."""
+    """A subspace of C^d held as its orthogonal projector.
+
+    The constructor checks, without changing the matrix, that it is one:
+    Hermitian and idempotent within PROJECTOR_TOL. Idempotency in Frobenius
+    norm pins every eigenvalue that close to {0, 1}, so no spectral check
+    is needed.
+    """
 
     ambient_dim: int
     projector: np.ndarray
@@ -224,7 +230,9 @@ class Subspace:
             raise InputError(
                 f"projector dim {p.shape[0]} does not match ambient dim {self.ambient_dim}"
             )
-        p = p.copy()
+        hermitize(p, PROJECTOR_TOL)
+        if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:
+            raise InputError("matrix is not idempotent: not a projector")
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
 
@@ -239,14 +247,8 @@ class Subspace:
 
     @classmethod
     def from_projector(cls, p) -> "Subspace":
-        """Build from a claimed projector; validates P = P^dagger = P^2.
-
-        Idempotency within PROJECTOR_TOL in Frobenius norm pins every
-        eigenvalue that close to {0, 1}, so no spectral check is needed.
-        """
+        """Build from a claimed projector, stored as its Hermitian part."""
         p = hermitize(p, PROJECTOR_TOL)
-        if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:
-            raise InputError("matrix is not idempotent: not a projector")
         return cls(p.shape[0], p)
 
     @classmethod

@@ -190,10 +190,14 @@ def coupling_identity_basis(
         out += max(float(p), 0.0) * np.outer(vv, vv.conj())
         if keep:
             span.append(vv)
+    # PSD by construction; clamping negative weights can still raise the trace
+    tr = float(np.trace(out).real)
+    if tr > 1.0 + PSD_TOL:
+        raise InputError(f"density operator has trace {tr:.12g} > 1")
     subspace = (
         linalg.Subspace.from_span(span) if span else linalg.Subspace.zero(d * d)
     )
-    return DensityOperator(out), subspace
+    return DensityOperator._trusted(linalg.herm(out)), subspace
 
 
 def coupling_tensor(rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:

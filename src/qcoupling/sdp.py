@@ -27,6 +27,9 @@ block per pair of constraint families, and then mapped onto the Herm basis;
 no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
 memory per iteration for d1 = d2 = d. X and Z are Cholesky-factored once per
 iterate; the inverse factors give Z^-1 and all four step-length tests.
+The iterates are Hermitian by construction, so only products are
+symmetrized. The loop has no fallback: a LinAlgError in it, like the
+iteration cap, ends the solve as a SolverFailure with the best iterate.
 
 Every feasible X lives on supp(rho1) (x) supp(rho2), so a rank-deficient
 marginal leaves no strictly feasible X and a raw iteration stalls or breaks
@@ -70,7 +73,6 @@ _MAX_ITER = 200
 _BOUNDARY = 0.98
 _SIGMA_MIN, _SIGMA_MAX = 0.01, 0.9
 _RIDGE = 1e-12
-_LSTSQ_RCOND = 1e-10
 _SQRT2 = math.sqrt(2.0)
 _BIG_STEP = 1e16
 
@@ -196,19 +198,6 @@ def _phi_star(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return t.reshape(d1 * d2, d1 * d2)
 
 
-def _inv_factors(s: np.ndarray) -> np.ndarray:
-    """Inverse Cholesky factors L^-1 (with S = L L^H) of a stack of strictly
-    positive-definite matrices."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        # a matrix grazed the boundary through roundoff; nudge and retry once
-        n = s.shape[-1]
-        shift = 1e-14 * np.abs(np.trace(s, axis1=-2, axis2=-1)) / n + 1e-300
-        chol = np.linalg.cholesky(s + shift[:, None, None] * np.eye(n))
-    return np.linalg.inv(chol)
-
-
 def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
     """Largest alphas with X + alpha*dX and Z + alpha*dZ PSD, given the
     stacked inverse Cholesky factors of X and Z."""
@@ -223,11 +212,8 @@ def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     d1, d2 = r1.shape[0], r2.shape[0]
     t1, t2, _ = _schur_data(d1, d2)
     rhs = np.concatenate([_coords(t1, r1), _coords(t2, r2)])
-    try:
-        dy = np.linalg.solve(m, rhs)
-        dy += np.linalg.solve(m, rhs - m @ dy)  # one refinement pass
-    except np.linalg.LinAlgError:
-        dy = np.linalg.lstsq(m, rhs, rcond=_LSTSQ_RCOND)[0]
+    dy = np.linalg.solve(m, rhs)
+    dy += np.linalg.solve(m, rhs - m @ dy)  # one refinement pass
     return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
 
 
@@ -252,7 +238,6 @@ def _check_traces(problem: CouplingProblem) -> float:
 def solve_coupling_sdp(
     problem: CouplingProblem,
     eps: float = EPS_SOLVE,
-    max_iter: int = _MAX_ITER,
     *,
     dual_target: float | None = None,
 ) -> SdpSolution:
@@ -264,11 +249,11 @@ def solve_coupling_sdp(
     eps, or one with primal residual at most eps and primal value within eps
     of tr(rho1) and at least dual_target, whose gap and dual residual may
     be. No coupling puts more than tr(rho1) in the subspace, so the latter
-    is eps-optimal. Raises InputError unless eps is
-    finite and positive, and SolverFailure (with the best iterate attached)
-    if the iteration cap is reached first. The initial primal point is a
-    strictified version of the always-feasible product state
-    rho1 (x) rho2 / tr(rho1).
+    is eps-optimal. Raises InputError unless eps is finite and positive,
+    and SolverFailure, with the best iterate attached, if the iteration cap
+    is reached first or the loop's linear algebra raises LinAlgError. The
+    initial primal point is a strictified version of the always-feasible
+    product state rho1 (x) rho2 / tr(rho1).
 
     The problem is solved on its compression to supp(rho1) (x) supp(rho2)
     through the states' support isometries V1, V2 and lifted back; for a
@@ -309,10 +294,9 @@ def solve_coupling_sdp(
         )
 
     try:
-        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, max_iter, dual_target)
+        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, dual_target)
     except SolverFailure as err:
-        best = lift(err.best) if err.best is not None else None
-        raise SolverFailure(str(err), best) from None
+        raise SolverFailure(str(err), lift(err.best)) from None
     return lift(core)
 
 
@@ -323,7 +307,6 @@ def _solve_core(
     b1: np.ndarray,
     b2: np.ndarray,
     eps: float,
-    max_iter: int,
     dual_target: float | None,
 ) -> SdpSolution:
     """Run the interior-point iteration on assembled problem data.
@@ -361,7 +344,7 @@ def _solve_core(
     best = None
     best_score = np.inf
     try:
-        for it in range(max_iter + 1):
+        for it in range(_MAX_ITER + 1):
             p1, p2 = linalg.partial_traces(x, d1, d2)
             rp1 = b1 - p1
             rp2 = b2 - p2
@@ -385,10 +368,10 @@ def _solve_core(
             )
             if decided or (dres <= eps and gap <= eps and pres <= eps):
                 return snapshot(it)
-            if it == max_iter:
+            if it == _MAX_ITER:
                 break
 
-            linv = _inv_factors(np.stack([x, z]))
+            linv = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
             zinv = linalg.herm(linv[1].conj().T @ linv[1])
             schur = _schur(x, zinv, d1, d2)
             deflate = max(1.0, float(np.trace(schur)) / m)
@@ -405,10 +388,10 @@ def _solve_core(
             dx, dy1, dy2, dz = direction(dxa @ dza, sigma * mu)
 
             ap, ad = (min(1.0, _BOUNDARY * s) for s in _step_len(linv, dx, dz))
-            x = linalg.herm(x + ap * dx)
-            y1 = linalg.herm(y1 + ad * dy1)
-            y2 = linalg.herm(y2 + ad * dy2)
-            z = linalg.herm(z + ad * dz)
+            x = x + ap * dx
+            y1 = y1 + ad * dy1
+            y2 = y2 + ad * dy2
+            z = z + ad * dz
     except np.linalg.LinAlgError as err:
         raise SolverFailure(
             f"interior-point linear algebra broke down at iteration {it} ({err}); "
@@ -418,7 +401,7 @@ def _solve_core(
         ) from err
 
     raise SolverFailure(
-        f"interior-point solve did not reach {eps:.1e} within {max_iter} iterations "
+        f"interior-point solve did not reach {eps:.1e} within {_MAX_ITER} iterations "
         f"(best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
         f"{best.dual_residual:.3e})",
         best,

@@ -32,6 +32,9 @@ DOOR = {
     "density-trace-above-one": lambda: DensityOperator(np.diag([0.7, 0.6])),
     "density-non-finite": lambda: DensityOperator(np.diag([NAN, 0.5])),
     "from-projector-not-idempotent": lambda: Subspace.from_projector(np.diag([0.5, 1.0])),
+    "subspace-scaled-identity": lambda: Subspace(4, 2 * np.eye(4)),
+    "subspace-not-idempotent": lambda: Subspace(4, np.ones((4, 4))),
+    "subspace-negative-identity": lambda: Subspace(4, -np.eye(4)),
     "from-span-empty": lambda: Subspace.from_span([]),
     "from-span-non-finite": lambda: Subspace.from_span([[INF, 0.0]]),
     "coupling-problem-dims": lambda: _uniform_problem(3),
@@ -111,6 +114,40 @@ def test_each_proof_object_is_diagonalized_once(monkeypatch, exists):
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
     assert shapes.count(9) == 1
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "degenerate-basis"])
+def test_identity_coupling_is_not_diagonalized(monkeypatch, kind):
+    """coupling_identity_basis builds its d^2 x d^2 coupling unchecked: only
+    the d x d state may be diagonalized, and the coupling still passes every
+    check of the door."""
+    rng = np.random.default_rng(59)
+    d, basis = 4, None
+    if kind == "full-rank":
+        rho = rand_density(rng, d)
+    elif kind == "rank-deficient":
+        rho = rand_density(rng, d, rank=2)
+    else:
+        # spectrum (0.3, 0.3, 0.2, 0.2): any unitary mix inside each pair of
+        # eigenvectors is another eigenbasis
+        u = rand_unitary(rng, d)
+        rho = DensityOperator((u * [0.3, 0.3, 0.2, 0.2]) @ u.conj().T)
+        mix = np.kron(np.eye(2), rand_unitary(rng, 2))
+        basis = u @ mix
+    shapes = []
+    eig = linalg._eig
+
+    def counting(h):
+        shapes.append(h.shape[0])
+        return eig(h)
+
+    monkeypatch.setattr(linalg, "_eig", counting)
+    coupling, subspace = quantum.coupling_identity_basis(rho, basis)
+    assert d * d not in shapes
+    monkeypatch.undo()
+    DensityOperator(coupling.mat)
+    assert quantum.is_coupling(coupling, rho, rho, 1e-9)
+    assert quantum.support_leakage(coupling, subspace) <= 1e-9
 
 
 def test_unchecked_witnesses_pass_every_check_of_the_door():

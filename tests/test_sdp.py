@@ -183,9 +183,10 @@ def test_solver_reports_iterations_and_converges_fast():
     assert 0 < sol.iterations <= 60
 
 
-def test_solver_failure_carries_best_iterate():
+def test_solver_failure_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(sdp, "_MAX_ITER", 2)
     with pytest.raises(SolverFailure) as err:
-        sdp.solve_coupling_sdp(point_problem(), max_iter=2)
+        sdp.solve_coupling_sdp(point_problem())
     best = err.value.best
     assert best is not None
     assert best.iterations <= 2
@@ -683,6 +684,73 @@ def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure) as info:
         sdp.check_quantum_lifting(point_problem())
     assert info.value.best is not None
+
+
+def _seeded_state(rng, kind):
+    if kind == "full-rank":
+        return rand_density(rng, 3)
+    if kind == "rank-deficient":
+        return rand_density(rng, 3, rank=2)
+    return _near_singular(rng, 3, 1e-6)
+
+
+def _hermitian_core_problems(kind):
+    """Seeded d = 3 problems whose marginals are of one kind: two with a
+    random subspace, two identity couplings (Exists, several steps)."""
+    rng = np.random.default_rng(53)
+    for _ in range(2):
+        span = rand_subspace(rng, 9, int(rng.integers(1, 9)))
+        yield CouplingProblem(_seeded_state(rng, kind), _seeded_state(rng, kind), span)
+        rho = _seeded_state(rng, kind)
+        yield CouplingProblem(rho, rho, quantum.coupling_identity_basis(rho)[1])
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "near-singular"])
+def test_iterates_are_hermitian_without_symmetrization(monkeypatch, kind):
+    """The loop never symmetrizes X, Y1, Y2 or Z, yet they leave it exactly
+    Hermitian: every update is a sum of exactly Hermitian terms."""
+    cores = []
+    core = sdp._solve_core
+
+    def recording(*args):
+        cores.append(core(*args))
+        return cores[-1]
+
+    monkeypatch.setattr(sdp, "_solve_core", recording)
+    for problem in _hermitian_core_problems(kind):
+        sdp.check_quantum_lifting(problem)
+    assert len(cores) == 4
+    for sol in cores:
+        assert sol.iterations > 0
+        for m in (sol.primal_x, sol.dual_y1, sol.dual_y2):
+            assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("routine, calls_per_step", [("cholesky", 1), ("solve", 4)])
+def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per_step):
+    """With no fallback in the loop, a LinAlgError at its factorization or
+    its Newton solve ends the decision as a SolverFailure carrying the best
+    iterate before the failing step; no raw LinAlgError escapes."""
+    rho = rand_density(np.random.default_rng(61), 3)
+    problem = CouplingProblem(rho, rho, quantum.coupling_identity_basis(rho)[1])
+    k = 3  # the failing step; its iterate is number k - 1
+    assert sdp.check_quantum_lifting(problem).diagnostics.iterations >= k
+    calls = []
+    real = getattr(np.linalg, routine)
+
+    def breaking_at_step_k(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > calls_per_step * (k - 1):
+            _lapack_breaks()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, breaking_at_step_k)
+    with pytest.raises(SolverFailure) as info:
+        sdp.check_quantum_lifting(problem)
+    assert f"broke down at iteration {k - 1}" in str(info.value)
+    best = info.value.best
+    assert best.iterations < k
+    assert best.primal_x.shape == (9, 9)
 
 
 def test_full_rank_certificates_are_strictly_feasible():
