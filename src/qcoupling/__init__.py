@@ -43,6 +43,7 @@ from .reduction import (
     extract_joint,
 )
 from .sdp import (
+    IterateStats,
     LiftingVerdict,
     SdpSolution,
     check_quantum_lifting,
@@ -60,6 +61,7 @@ __all__ = [
     "DensityOperator",
     "EmbeddingReport",
     "InputError",
+    "IterateStats",
     "LiftingVerdict",
     "NumericalError",
     "Relation",

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * Hermitian data is symmetrized once at the boundary (``hermitize``)
   and trusted afterwards, and so are states: the public constructors
   validate, states valid by construction are built unchecked, and the
-  eigen routines share ``_eig``, the Jacobi kernel for trusted input;
+  eigen routines share ``_eig``, the Jacobi kernel for trusted input,
+  which a lifting decision uses only for input validation and proof
+  verification (its construction steps use LAPACK);
 * one support rule, ``support_mask``, serves states, the lifting solver's
   marginal compression and spans: a direction whose weight is at most
   RANK_TOL times the largest weight counts as absent.

@@ -50,13 +50,17 @@ eps and value within eps of tr(rho1): it is eps-optimal whatever its dual.
 Every NotExists dual is then completed to a strictly feasible full-space
 pair, with the iterate's own dual residual as its slack bound, at the cost
 of at most a quarter of its trace margin, and turned into a certificate in
-one pass over these trusted arrays.
+one pass over these trusted arrays. An Exists witness is the stopping
+primal iterate, lifted and rescaled to trace tr(rho1): every iterate is
+positive definite, so the witness is a state by construction and is never
+diagonalized. A verdict keeps its proof object and the stopping iterate's
+numbers; the iterate's matrices stay with solve_coupling_sdp's SdpSolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -78,12 +82,10 @@ _BIG_STEP = 1e16
 
 
 @dataclass(frozen=True)
-class SdpSolution:
-    """Primal/dual pair with values, duality gap, residuals, iteration count."""
+class IterateStats:
+    """The numbers of one interior-point iterate: objective values, duality
+    gap, residuals and the iteration count."""
 
-    primal_x: np.ndarray
-    dual_y1: np.ndarray
-    dual_y2: np.ndarray
     primal_value: float
     dual_value: float
     gap: float
@@ -92,24 +94,48 @@ class SdpSolution:
     iterations: int
 
 
+@dataclass(frozen=True, init=False)
+class SdpSolution(IterateStats):
+    """An iterate's numbers plus its primal/dual pair.
+
+    Built as SdpSolution(primal_x, dual_y1, dual_y2, *numbers), with the
+    numbers in IterateStats' field order, or with any of them by name."""
+
+    primal_x: np.ndarray
+    dual_y1: np.ndarray
+    dual_y2: np.ndarray
+
+    def __init__(self, primal_x, dual_y1, dual_y2, *numbers, **named):
+        super().__init__(*numbers, **named)
+        object.__setattr__(self, "primal_x", primal_x)
+        object.__setattr__(self, "dual_y1", dual_y1)
+        object.__setattr__(self, "dual_y2", dual_y2)
+
+    def stats(self) -> IterateStats:
+        """The iterate's numbers alone, without its matrices."""
+        return IterateStats(*(getattr(self, f.name) for f in fields(IterateStats)))
+
+
 @dataclass(frozen=True)
 class LiftingVerdict:
     """Decision plus its proof object.
 
     exists=True carries a witness state; exists=False carries a certificate
     pair (Y1, Y2) with P_perp >= Y1 (x) I - I (x) Y2 and
-    tr(rho1 Y1) > tr(rho2 Y2). diagnostics is the stopping iterate of the
-    underlying solve. For Exists it is the first primal iterate within
-    eps_solve of tr(rho1), and its gap and dual residual may be far above
-    eps_solve. For NotExists it is, short of a threshold-boundary input,
-    the first whose dual refutes every coupling, and its gap and primal
-    residual may be far above eps_solve.
+    tr(rho1 Y1) > tr(rho2 Y2). The witness is the stopping primal iterate
+    itself, rescaled to trace tr(rho1) and never diagonalized. diagnostics
+    holds the numbers of the underlying solve's stopping iterate and no
+    matrix. For Exists it is the first primal iterate within eps_solve of
+    tr(rho1), and its gap and dual residual may be far above eps_solve. For
+    NotExists it is, short of a threshold-boundary input, the first whose
+    dual refutes every coupling, and its gap and primal residual may be far
+    above eps_solve.
     """
 
     exists: bool
     witness: DensityOperator | None
     certificate: tuple[np.ndarray, np.ndarray] | None
-    diagnostics: SdpSolution
+    diagnostics: IterateStats
 
 
 def _herm_basis(n: int) -> np.ndarray:
@@ -425,10 +451,11 @@ def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
 def _shift(y1: np.ndarray, y2: np.ndarray):
     """The positivity shift on trusted Hermitian arrays, plus the operator
     norm of the shifted pair: both are PSD, so it is the largest eigenvalue
-    less lam, read off the same two spectra."""
-    w1, w2 = linalg._eig(y1).eigenvalues, linalg._eig(y2).eigenvalues
-    lam = min(float(w1[-1]), float(w2[-1]))
-    norm = max(float(w1[0]), float(w2[0])) - lam
+    less lam, read off the same two spectra. A construction step, not a
+    check, so its spectra come from LAPACK (ascending)."""
+    w1, w2 = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(y2)
+    lam = min(float(w1[0]), float(w2[0]))
+    norm = max(float(w1[-1]), float(w2[-1])) - lam
     return y1 - lam * _eye(y1.shape[0]), y2 - lam * _eye(y2.shape[0]), lam, norm
 
 
@@ -517,14 +544,14 @@ def _refute(
     v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
     try:
         y1, y2 = _condition_a(*_complete_dual(sol, v1, v2, t1))
+        y1, y2, _, norm = _shift(y1, y2)
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
-    y1, y2, _, norm = _shift(y1, y2)
     if norm > 1.0 and _margin(y1, y2, problem) / norm > max(eps_decide, tol):
         y1, y2 = y1 / norm, y2 / norm
     if not _verify(y1, y2, problem, tol):
         raise SolverFailure("dual certificate failed verification at 10*eps_solve", sol)
-    return LiftingVerdict(False, None, (y1, y2), sol)
+    return LiftingVerdict(False, None, (y1, y2), sol.stats())
 
 
 def check_quantum_lifting(
@@ -540,9 +567,10 @@ def check_quantum_lifting(
     the primal value read. It also stops at the first primal iterate with
     residual at most eps_solve and value within eps_solve of tr(rho1).
     Exists when the primal value reaches tr(rho1) - eps_decide; the witness
-    is the cleaned-up primal iterate, PSD-projected (its one diagonalization),
-    trace-matched and symmetrized, so a state by construction; it must
-    re-verify at 10*eps_solve (``quantum.is_lifting_witness``). If not, the
+    is the stopping primal iterate rescaled to trace tr(rho1), with no
+    diagonalization: the iterate is positive definite and its lift exactly
+    Hermitian, so it is a state by construction; it must re-verify at
+    10*eps_solve (``quantum.is_lifting_witness``). If not, the
     certificate of the same solve is tried, and NotExists is decided when it
     verifies; otherwise the verdict degrades to a solver failure. NotExists
     returns a certificate built from the stopping dual iterate in one pass:
@@ -551,7 +579,8 @@ def check_quantum_lifting(
     condition-A transform and the positivity shift, and rescaled to
     operator norm at most 1 when the scaled trace gap still exceeds both
     eps_decide and 10*eps_solve; ``verify_dual_certificate``'s test, less its
-    input checks, verifies it at 10*eps_solve. Both thresholds must be
+    input checks, verifies it at 10*eps_solve. The verdict's diagnostics
+    are the stopping iterate's numbers only. Both thresholds must be
     finite and positive (InputError). The zero state couples with itself
     inside any subspace, via the zero witness. Otherwise eps_decide must
     lie below tr(rho1), or NotExists could never be reached (InputError).
@@ -560,16 +589,9 @@ def check_quantum_lifting(
     _check_threshold("eps_decide", eps_decide)
     t1 = _check_traces(problem)
     d1, d2 = problem.dims
-    d = d1 * d2
     if t1 <= TRACE_MATCH_TOL:
-        zero = np.zeros((d, d), dtype=np.complex128)
-        sol = SdpSolution(
-            zero,
-            np.zeros((d1, d1), dtype=np.complex128),
-            np.zeros((d2, d2), dtype=np.complex128),
-            0.0, 0.0, 0.0, 0.0, 0.0, 0,
-        )
-        return LiftingVerdict(True, DensityOperator._trusted(zero), None, sol)
+        zero = DensityOperator._trusted(np.zeros((d1 * d2, d1 * d2), dtype=np.complex128))
+        return LiftingVerdict(True, zero, None, IterateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0))
     if eps_decide >= t1:
         raise InputError(
             f"eps_decide {eps_decide:.3g} must be below tr(rho1) = {t1:.12g}; "
@@ -583,13 +605,13 @@ def check_quantum_lifting(
     refuted = sol.dual_residual <= eps_solve and sol.dual_value < target
     if refuted or t1 - sol.primal_value > eps_decide:
         return _refute(sol, problem, t1, eps_decide, tol)
-    w = linalg.psd_project(sol.primal_x)
-    trw = float(np.trace(w).real)
-    if trw > 0.0:
-        w = w * (t1 / trw)
-    witness = DensityOperator._trusted(linalg.herm(w))
+    # every iterate is positive definite (each step stops at _BOUNDARY of the
+    # distance to the PSD boundary), the lift is a congruence by an isometry
+    # and left it exactly Hermitian, and a positive real scale keeps both
+    x = sol.primal_x
+    witness = DensityOperator._trusted(x * (t1 / float(np.trace(x).real)))
     if quantum.is_lifting_witness(witness, problem, tol):
-        return LiftingVerdict(True, witness, None, sol)
+        return LiftingVerdict(True, witness, None, sol.stats())
     # within eps_decide of the threshold the dual may still prove that no
     # coupling exists; a certificate that verifies decides
     try:

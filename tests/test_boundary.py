@@ -2,6 +2,7 @@
 input, states the library makes valid by construction skip the checks, and
 every proof object is still verified before it is returned."""
 
+from dataclasses import fields
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -99,8 +100,9 @@ def _refuted(rng, d):
 
 @pytest.mark.parametrize("exists", [True, False], ids=["exists", "not-exists"])
 def test_each_proof_object_is_diagonalized_once(monkeypatch, exists):
-    """A witness is diagonalized only by its PSD projection and a certificate
-    only by its PSD test: one Jacobi run on a D x D matrix per decision."""
+    """A witness is the stopping iterate, never diagonalized, and a
+    certificate is diagonalized only by its PSD test: Exists makes no Jacobi
+    run at all, NotExists exactly one, on a D x D matrix."""
     rng = np.random.default_rng(3)
     problem = _planted(rng, 3, 4) if exists else _refuted(rng, 3)
     shapes = []
@@ -113,7 +115,66 @@ def test_each_proof_object_is_diagonalized_once(monkeypatch, exists):
     monkeypatch.setattr(linalg, "_eig", counting)
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
-    assert shapes.count(9) == 1
+    assert shapes == ([] if exists else [9])
+
+
+def _near_singular_planted(rng, d, eps):
+    """A random rank-d state on C^d (x) C^d pushed through S (x) S with
+    S = U diag(1, sqrt(eps), ..., sqrt(eps)) U^dagger, its range as the
+    subspace: full-rank marginals with eigenvalue ratios of order eps."""
+    u = rand_unitary(rng, d)
+    s = (u * np.sqrt([1.0] + [eps] * (d - 1))) @ u.conj().T
+    g = np.kron(s, s) @ (rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d)))
+    x = g @ g.conj().T
+    x /= np.trace(x).real
+    return CouplingProblem(
+        DensityOperator(linalg.partial_trace(x, d, d, "second")),
+        DensityOperator(linalg.partial_trace(x, d, d, "first")),
+        Subspace.from_span(g.T),
+    )
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "near-singular"])
+def test_witness_matches_the_projected_iterate(kind):
+    """The witness, taken straight from the stopping iterate, equals the
+    PSD-projected, trace-matched, symmetrized iterate to round-off, and
+    passes the validating constructor."""
+    rng = np.random.default_rng(67)
+    seen = 0
+    for _ in range(6):
+        if kind == "full-rank":
+            problem = _planted(rng, 3, 4)
+        elif kind == "rank-deficient":
+            problem = _planted(rng, 3, 2, 2, 2)
+        else:
+            problem = _near_singular_planted(rng, 3, 1e-6)
+        verdict = sdp.check_quantum_lifting(problem)
+        if not verdict.exists:
+            continue
+        seen += 1
+        t1 = problem.rho1.trace
+        x = sdp.solve_coupling_sdp(problem, dual_target=t1 - sdp.EPS_DECIDE).primal_x
+        p = linalg.psd_project(x)
+        want = linalg.herm(p * (t1 / np.trace(p).real))
+        w = verdict.witness.mat
+        assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+        DensityOperator(w)
+    assert seen >= 4
+
+
+def test_verdicts_keep_only_their_proof_objects():
+    """diagnostics holds the stopping iterate's numbers and no matrix, so a
+    NotExists verdict holds no array larger than its d x d certificate."""
+    rng = np.random.default_rng(71)
+    for problem, exists in ((_planted(rng, 3, 4), True), (_refuted(rng, 3), False)):
+        verdict = sdp.check_quantum_lifting(problem)
+        assert verdict.exists == exists
+        stats = vars(verdict.diagnostics)
+        assert set(stats) == {f.name for f in fields(sdp.IterateStats)}
+        assert not any(isinstance(v, np.ndarray) for v in stats.values())
+        if not exists:
+            assert verdict.witness is None
+            assert [y.shape for y in verdict.certificate] == [(3, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "degenerate-basis"])

@@ -381,7 +381,8 @@ def test_one_pass_certificate_matches_the_public_pipeline(rank):
         if verdict.exists:
             continue
         seen += 1
-        for got, want in zip(verdict.certificate, _public_certificate(verdict.diagnostics, problem)):
+        sol = sdp.solve_coupling_sdp(problem, dual_target=problem.rho1.trace - sdp.EPS_DECIDE)
+        for got, want in zip(verdict.certificate, _public_certificate(sol, problem)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert seen >= 6
 
@@ -657,7 +658,7 @@ def test_check_lifting_solves_through_the_module_attribute_once(
     assert (ranks == list(problem.dims)) == full_rank
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
-    assert len(calls) == 1 and verdict.diagnostics is calls[0]
+    assert len(calls) == 1 and verdict.diagnostics == calls[0].stats()
     assert len(eighs) == len({id(problem.rho1), id(problem.rho2)})
     zero = DensityOperator(np.zeros((2, 2)))
     sdp.check_quantum_lifting(CouplingProblem(zero, zero, Subspace.full(4)))
@@ -682,6 +683,22 @@ def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve_coupling_sdp", solve_then_break)
     with pytest.raises(SolverFailure) as info:
+        sdp.check_quantum_lifting(point_problem())
+    assert info.value.best is not None
+
+
+def test_shift_lapack_failure_is_a_solver_failure(monkeypatch):
+    """The positivity shift reads LAPACK spectra of the d x d certificate
+    pair; a LinAlgError there is a SolverFailure carrying the solution."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def breaking_on_d_by_d(h, *args, **kwargs):
+        if h.shape == (2, 2):
+            _lapack_breaks()
+        return eigvalsh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", breaking_on_d_by_d)
+    with pytest.raises(SolverFailure, match="certificate linear algebra") as info:
         sdp.check_quantum_lifting(point_problem())
     assert info.value.best is not None
 
