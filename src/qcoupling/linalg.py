@@ -7,10 +7,11 @@ Conventions used throughout the package:
   (i, k) -> i * d2 + k, which is what ``numpy.kron`` produces;
 * Hermitian data is symmetrized once at the boundary (``hermitize``)
   and trusted afterwards, and so are states: the public constructors
-  validate, states valid by construction are built unchecked, and the
-  eigen routines share ``_eig``, the Jacobi kernel for trusted input,
-  which a lifting decision uses only for input validation and proof
-  verification (its construction steps use LAPACK);
+  validate, and states valid by construction are built unchecked;
+* every eigendecomposition goes through ``_eigh`` (LAPACK), and the
+  Jacobi kernel ``_jacobi_eigvals`` serves only the PSD test ``_is_psd``,
+  which a lifting decision runs to validate its input and verify its
+  proof object;
 * one support rule, ``support_mask``, serves states, the lifting solver's
   marginal compression and spans: a direction whose weight is at most
   RANK_TOL times the largest weight counts as absent.
@@ -122,19 +123,27 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition of Hermitian h, validated; see ``_eig``."""
-    return _eig(hermitize(h))
+    """Eigendecomposition of Hermitian h, validated, from LAPACK (``_eigh``);
+    within a degenerate eigenvalue the basis is LAPACK's choice."""
+    w, v = _eigh(hermitize(h))
+    return Spectrum(w[::-1], v[:, ::-1])
 
 
-def _eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition by cyclic Jacobi rotations (complex Givens): the
-    unvalidated kernel for trusted Hermitian data, which it leaves intact.
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one eigendecomposition: LAPACK on trusted Hermitian
+    data, eigenvalues ascending and eigenvectors as columns; a LinAlgError
+    becomes a NumericalError."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _jacobi_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues, unsorted, by cyclic Jacobi rotations (complex Givens):
+    the PSD test's kernel for trusted Hermitian data, which it leaves intact.
 
     Sweeps the strict upper triangle, annihilating one off-diagonal entry
     per rotation, until the off-diagonal Frobenius norm falls below
@@ -143,11 +152,7 @@ def _eig(h: np.ndarray) -> Spectrum:
     """
     a = np.array(h, dtype=np.complex128)
     d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return Spectrum(np.array([a[0, 0].real]), v)
-    scale = np.linalg.norm(a)
-    stop = _JACOBI_OFF_FACTOR * scale
+    stop = _JACOBI_OFF_FACTOR * np.linalg.norm(a)
     # entries at or below skip cannot push the off-diagonal norm above stop
     skip = stop / d
     for _ in range(_JACOBI_MAX_SWEEPS):
@@ -178,17 +183,11 @@ def _eig(h: np.ndarray) -> Spectrum:
                 a[q, p] = 0.0
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * vq
-                v[:, q] = c * vq - sc * vp
     else:
         raise NumericalError(
             f"jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], v[:, order])
+    return np.diagonal(a).real
 
 
 def is_psd(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -198,14 +197,14 @@ def is_psd(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 def _is_psd(h: np.ndarray, tol: float) -> bool:
     """``is_psd`` on trusted Hermitian data."""
-    return bool(_eig(h).eigenvalues[-1] >= -tol)
+    return bool(_jacobi_eigvals(h).min() >= -tol)
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to 0."""
-    s = _eig(hermitize(h))
-    w = np.clip(s.eigenvalues, 0.0, None)
-    return (s.eigenvectors * w) @ s.eigenvectors.conj().T
+    """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to 0,
+    in LAPACK's eigenbasis (``_eigh``)."""
+    w, v = _eigh(hermitize(h))
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def pair_index(i: int, j: int, n: int) -> int:

@@ -60,10 +60,7 @@ class DensityOperator:
         """Isometry onto the eigenvectors that ``linalg.support_mask`` keeps,
         from one eigendecomposition per state; its columns are the full
         eigenbasis when the state has full rank. Read-only, as it is shared."""
-        try:
-            w, v = np.linalg.eigh(self.mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"support eigendecomposition failed: {exc}") from exc
+        w, v = linalg._eigh(self.mat)
         v = np.ascontiguousarray(v[:, linalg.support_mask(w)])
         v.setflags(write=False)
         return v
@@ -165,14 +162,14 @@ def coupling_identity_basis(
 ) -> tuple[DensityOperator, linalg.Subspace]:
     """The identity coupling sum_i p_i |ii><ii| of (rho, rho) in an eigenbasis.
 
-    basis defaults to the eigenvectors of rho; for degenerate spectra a
-    different orthonormal eigenbasis may be passed in, and the resulting
-    coupling genuinely depends on that choice. The subspace spans the
-    |ii> whose weights p_i the support rule ``linalg.support_mask`` keeps.
+    basis defaults to LAPACK's eigenvectors of rho (``linalg._eigh``),
+    whose choice within a degenerate eigenvalue is LAPACK's; another
+    orthonormal eigenbasis may be passed in, and the resulting coupling
+    genuinely depends on that choice. The subspace spans the |ii> whose
+    weights p_i the support rule ``linalg.support_mask`` keeps.
     """
     if basis is None:
-        spec = linalg._eig(rho.mat)
-        weights, vectors = spec.eigenvalues, spec.eigenvectors
+        weights, vectors = linalg._eigh(rho.mat)
     else:
         vectors = linalg.as_matrix(basis)
         if vectors.shape[0] != rho.dim:

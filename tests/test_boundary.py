@@ -106,13 +106,13 @@ def test_each_proof_object_is_diagonalized_once(monkeypatch, exists):
     rng = np.random.default_rng(3)
     problem = _planted(rng, 3, 4) if exists else _refuted(rng, 3)
     shapes = []
-    eig = linalg._eig
+    eigvals = linalg._jacobi_eigvals
 
     def counting(h):
         shapes.append(h.shape[0])
-        return eig(h)
+        return eigvals(h)
 
-    monkeypatch.setattr(linalg, "_eig", counting)
+    monkeypatch.setattr(linalg, "_jacobi_eigvals", counting)
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
     assert shapes == ([] if exists else [9])
@@ -196,13 +196,13 @@ def test_identity_coupling_is_not_diagonalized(monkeypatch, kind):
         mix = np.kron(np.eye(2), rand_unitary(rng, 2))
         basis = u @ mix
     shapes = []
-    eig = linalg._eig
+    eigvals = linalg._jacobi_eigvals
 
     def counting(h):
         shapes.append(h.shape[0])
-        return eig(h)
+        return eigvals(h)
 
-    monkeypatch.setattr(linalg, "_eig", counting)
+    monkeypatch.setattr(linalg, "_jacobi_eigvals", counting)
     coupling, subspace = quantum.coupling_identity_basis(rho, basis)
     assert d * d not in shapes
     monkeypatch.undo()

@@ -1,12 +1,14 @@
 """Tests for the dense Hermitian tool layer: validation, tensor/partial
-trace, the Jacobi eigensolver, and subspace handling."""
+trace, the LAPACK eigendecomposition and the Jacobi PSD test, and subspace
+handling."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qcoupling import jsonio, linalg
+from qcoupling import cli, jsonio, linalg, quantum
 from qcoupling.errors import InputError, NumericalError
 from qcoupling.quantum import DensityOperator
 
@@ -111,10 +113,12 @@ def test_hermitian_eig_reconstructs_random_matrices():
         d = int(rng.integers(1, 17))
         h = rand_hermitian(rng, d, scale=float(rng.uniform(0.1, 10)))
         spec = linalg.hermitian_eig(h)
-        rel = np.linalg.norm(spec.reconstruct() - h) / max(1e-300, np.linalg.norm(h))
+        v = spec.eigenvectors
+        rel = np.linalg.norm((v * spec.eigenvalues) @ v.conj().T - h) / max(
+            1e-300, np.linalg.norm(h)
+        )
         assert rel <= 1e-9
         # columns orthonormal, eigenvalues descending
-        v = spec.eigenvectors
         assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < 1e-10
         assert all(
             spec.eigenvalues[i] >= spec.eigenvalues[i + 1] for i in range(d - 1)
@@ -122,20 +126,59 @@ def test_hermitian_eig_reconstructs_random_matrices():
 
 
 def test_hermitian_eig_matches_lapack_eigenvalues():
-    """Independent route: the Jacobi sweep must agree with LAPACK."""
+    """Independent route: the eigenvalues of the Jacobi sweep behind the PSD
+    test must agree with LAPACK."""
     rng = np.random.default_rng(6)
     for _ in range(50):
         d = int(rng.integers(2, 12))
         h = rand_hermitian(rng, d)
-        ours = linalg.hermitian_eig(h).eigenvalues
-        ref = np.linalg.eigvalsh(h)[::-1]
+        ours = np.sort(linalg._jacobi_eigvals(linalg.hermitize(h)))
+        ref = np.linalg.eigvalsh(h)
         assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_hermitian_eig_exact_on_diagonal():
     spec = linalg.hermitian_eig(np.diag([3.0, -1.0, 2.0]))
+    v = spec.eigenvectors
     assert np.array_equal(spec.eigenvalues, [3.0, 2.0, -1.0])
-    assert np.allclose(spec.reconstruct(), np.diag([3.0, -1.0, 2.0]))
+    assert np.allclose((v * spec.eigenvalues) @ v.conj().T, np.diag([3.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("h, want", [
+    (np.diag([3.0, -1.0, 2.0]), [3.0, -1.0, 2.0]),
+    (np.array([[-2.5]]), [-2.5]),
+    (np.zeros((4, 4)), [0.0] * 4),
+], ids=["diagonal", "1x1", "zero"])
+def test_jacobi_kernel_is_exact_without_rotations(h, want):
+    """A matrix with no off-diagonal mass needs no rotation: the kernel
+    returns its diagonal exactly, in diagonal order."""
+    assert np.array_equal(linalg._jacobi_eigvals(linalg.hermitize(h)), want)
+
+
+def test_jacobi_sweep_cap_is_a_numerical_error(monkeypatch, tmp_path):
+    """The kernel's one raise: with the cap at one sweep, a dense 9 x 9
+    matrix exhausts it, so the PSD test raises NumericalError and a CLI
+    certificate check exits 2."""
+    rng = np.random.default_rng(12)
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NumericalError):
+        linalg.is_psd(rand_hermitian(rng, 9))
+    # diagonal marginals pass the door without a rotation; the certificate's
+    # 9 x 9 difference P_perp - (Y1 (x) I - I (x) Y2) is dense
+    files = {
+        "rho1": np.diag([0.5, 0.3, 0.2]),
+        "rho2": np.diag([0.2, 0.3, 0.5]),
+        "y1": rand_hermitian(rng, 3),
+        "y2": rand_hermitian(rng, 3),
+    }
+    args = []
+    for name, m in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"re": m.real.tolist(), "im": m.imag.tolist()}))
+        args += [f"--{name}", str(path)]
+    span = tmp_path / "sub.json"
+    span.write_text(json.dumps({"span": rng.normal(size=(4, 9)).tolist()}))
+    assert cli.run(["verify-certificate", *args, "--subspace", str(span)]) == 2
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -246,6 +289,20 @@ def test_support_eigh_failure_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _lapack_breaks)
     with pytest.raises(NumericalError):
         rho.support()
+
+
+@pytest.mark.parametrize("decompose", [
+    linalg.hermitian_eig,
+    linalg.psd_project,
+    lambda m: quantum.coupling_identity_basis(DensityOperator(m)),
+], ids=["hermitian_eig", "psd_project", "coupling_identity_basis"])
+def test_eigh_failure_is_a_numerical_error(monkeypatch, decompose):
+    """Every eigendecomposition goes through linalg._eigh, so a LAPACK
+    breakdown reaches each caller as a NumericalError, never raw."""
+    m = np.diag([0.5, 0.3, 0.2])
+    monkeypatch.setattr(np.linalg, "eigh", _lapack_breaks)
+    with pytest.raises(NumericalError):
+        decompose(m)
 
 
 def test_subspace_full_and_zero():
