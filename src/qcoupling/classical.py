@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import InputError
+from .errors import InputError, check_threshold
 
 WEIGHT_SLACK = 1e-12
 WITNESS_TOL = 1e-9
@@ -111,7 +111,11 @@ def is_lifting_witness_classical(
     joint, mu1, mu2, relation: Relation, tol: float = WITNESS_TOL
 ) -> bool:
     """True iff the joint's marginals match (mu1, mu2) within tol (entrywise)
-    and it carries at most tol mass on any pair outside the relation."""
+    and it carries at most tol mass on any pair outside the relation. tol
+    must be finite and positive, or 0: an exact check, which exact
+    (Fraction) inputs can pass."""
+    if tol != 0:
+        check_threshold("tol", tol)
     rows = check_joint(joint)
     mu1 = check_subdistribution(mu1)
     mu2 = check_subdistribution(mu2)

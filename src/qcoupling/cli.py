@@ -7,19 +7,22 @@ Subcommands map one-to-one onto the library's checkers: `check-lifting`
 examples, printed with their verification). All inputs and outputs are
 JSON. Exit codes: 0 a verdict was produced (Exists and NotExists both
 count), 1 bad input, 2 numerical failure.
+
+The parser is one table: each flag group is declared once, and each
+subcommand is composed from its groups and bound to its handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import math
 import sys
 
 import numpy as np
 
 from . import classical, jsonio, linalg, quantum, reduction, sdp
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_threshold
 from .quantum import CouplingProblem
 
 
@@ -32,86 +35,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threshold(text: str) -> float:
-    """argparse type of the solver and verifier thresholds: finite and > 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every run shares it."""
-    parser = _Parser(prog="qcoupling", description=__doc__.split("\n")[1])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
-
-    def add_quantum_eps(p):
-        p.add_argument("--eps-solve", type=_threshold, default=sdp.EPS_SOLVE,
-                       help="target duality gap and residuals (default 1e-8)")
-        p.add_argument("--eps-decide", type=_threshold, default=sdp.EPS_DECIDE,
-                       help="decision threshold on tr(rho1) - optimum (default 1e-6)")
-
-    p = sub.add_parser("check-lifting", help="decide quantum lifting existence")
-    p.add_argument("--rho1", required=True, metavar="FILE")
-    p.add_argument("--rho2", required=True, metavar="FILE")
-    p.add_argument("--subspace", required=True, metavar="FILE")
-    add_quantum_eps(p)
-    add_common(p)
-
-    p = sub.add_parser("classical-check", help="decide classical lifting existence")
-    p.add_argument("--mu1", required=True, metavar="FILE")
-    p.add_argument("--mu2", required=True, metavar="FILE")
-    p.add_argument("--relation", required=True, metavar="FILE")
-    p.add_argument("--exact", action="store_true",
-                   help="require exact rational inputs (num/den form)")
-    add_common(p)
-
-    p = sub.add_parser("verify-witness", help="re-verify a lifting witness")
-    p.add_argument("--rho", required=True, metavar="FILE")
-    p.add_argument("--rho1", required=True, metavar="FILE")
-    p.add_argument("--rho2", required=True, metavar="FILE")
-    p.add_argument("--subspace", required=True, metavar="FILE")
-    p.add_argument("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
-    add_common(p)
-
-    p = sub.add_parser("verify-certificate", help="re-verify a dual certificate")
-    p.add_argument("--y1", required=True, metavar="FILE")
-    p.add_argument("--y2", required=True, metavar="FILE")
-    p.add_argument("--rho1", required=True, metavar="FILE")
-    p.add_argument("--rho2", required=True, metavar="FILE")
-    p.add_argument("--subspace", required=True, metavar="FILE")
-    p.add_argument("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
-    add_common(p)
-
-    p = sub.add_parser("cross-check", help="compare classical and quantum checkers")
-    p.add_argument("--mu1", required=True, metavar="FILE")
-    p.add_argument("--mu2", required=True, metavar="FILE")
-    p.add_argument("--relation", required=True, metavar="FILE")
-    add_quantum_eps(p)
-    add_common(p)
-
-    p = sub.add_parser("demo", help="worked examples with verification")
-    p.add_argument("name", choices=["bell", "negation", "unitary", "no-lifting"])
-    p.add_argument("--dim", type=int, default=2, help="local dimension for bell")
-    p.add_argument("--file", metavar="FILE", help="unitary matrix JSON (demo unitary)")
-    add_quantum_eps(p)
-    add_common(p)
-
-    return parser
+    """argparse type of the solver and verifier thresholds: the library's
+    rule, which argparse reports under the flag's name."""
+    try:
+        return check_threshold("threshold", float(text))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _problem(args) -> CouplingProblem:
     """The lifting problem named by --rho1, --rho2 and --subspace."""
     rho1 = jsonio.parse_density(jsonio.load_file(args.rho1))
     rho2 = jsonio.parse_density(jsonio.load_file(args.rho2))
-    sub = jsonio.parse_subspace(
-        jsonio.load_file(args.subspace), expected_dim=rho1.dim * rho2.dim
-    )
+    sub = jsonio.parse_subspace(jsonio.load_file(args.subspace), rho1.dim * rho2.dim)
     return CouplingProblem(rho1, rho2, sub)
+
+
+def _classical(args) -> tuple:
+    """The classical instance named by --mu1, --mu2 and --relation."""
+    return (
+        jsonio.parse_distribution(jsonio.load_file(args.mu1)),
+        jsonio.parse_distribution(jsonio.load_file(args.mu2)),
+        jsonio.parse_relation(jsonio.load_file(args.relation)),
+    )
 
 
 def _cmd_check_lifting(args) -> dict:
@@ -120,9 +66,7 @@ def _cmd_check_lifting(args) -> dict:
 
 
 def _cmd_classical_check(args) -> dict:
-    mu1 = jsonio.parse_distribution(jsonio.load_file(args.mu1))
-    mu2 = jsonio.parse_distribution(jsonio.load_file(args.mu2))
-    rel = jsonio.parse_relation(jsonio.load_file(args.relation))
+    mu1, mu2, rel = _classical(args)
     if args.exact and not classical.is_exact(mu1, mu2):
         raise InputError('--exact requires rational inputs ({"num": ..., "den": ...})')
     verdict = classical.check_lifting_maxflow(mu1, mu2, rel)
@@ -152,11 +96,8 @@ def _cmd_verify_certificate(args) -> dict:
 
 
 def _cmd_cross_check(args) -> dict:
-    mu1 = jsonio.parse_distribution(jsonio.load_file(args.mu1))
-    mu2 = jsonio.parse_distribution(jsonio.load_file(args.mu2))
-    rel = jsonio.parse_relation(jsonio.load_file(args.relation))
-    report = reduction.cross_check(mu1, mu2, rel, args.eps_solve, args.eps_decide)
-    return jsonio.report_to_json(report)
+    report = reduction.cross_check(*_classical(args), args.eps_solve, args.eps_decide)
+    return dataclasses.asdict(report)
 
 
 def _witness_demo(args, d: int, witness, sub, description: str) -> dict:
@@ -218,9 +159,7 @@ def _demo_unitary(args) -> dict:
 def _demo_no_lifting(args) -> dict:
     rho1 = quantum.DensityOperator(np.diag([1.0, 0.0]).astype(np.complex128))
     rho2 = quantum.DensityOperator(np.diag([0.0, 1.0]).astype(np.complex128))
-    span = np.zeros((1, 4))
-    span[0, 0] = 1.0
-    sub = linalg.Subspace.from_span(span)
+    sub = linalg.Subspace.from_span([[1.0, 0.0, 0.0, 0.0]])
     problem = CouplingProblem(rho1, rho2, sub)
     verdict = sdp.check_quantum_lifting(problem, args.eps_solve, args.eps_decide)
     out = {
@@ -242,24 +181,61 @@ _DEMOS = {
     "no-lifting": _demo_no_lifting,
 }
 
-_COMMANDS = {
-    "check-lifting": _cmd_check_lifting,
-    "classical-check": _cmd_classical_check,
-    "verify-witness": _cmd_verify_witness,
-    "verify-certificate": _cmd_verify_certificate,
-    "cross-check": _cmd_cross_check,
-}
+
+@functools.lru_cache(maxsize=1)
+def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every run shares it. Each flag group is a parent parser,
+    declared once; each subcommand is composed from its groups and binds
+    its handler."""
+
+    def group(*flags, **kwargs) -> argparse.ArgumentParser:
+        g = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            g.add_argument(flag, **kwargs)
+        return g
+
+    files = functools.partial(group, required=True, metavar="FILE")
+    states = files("--rho1", "--rho2", "--subspace")
+    distributions = files("--mu1", "--mu2", "--relation")
+    eps = group()
+    eps.add_argument("--eps-solve", type=_threshold, default=sdp.EPS_SOLVE,
+                     help="target duality gap and residuals (default 1e-8)")
+    eps.add_argument("--eps-decide", type=_threshold, default=sdp.EPS_DECIDE,
+                     help="decision threshold on tr(rho1) - optimum (default 1e-6)")
+    tol = group("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
+    out = group("--out", metavar="FILE", help="write JSON here instead of stdout")
+    exact = group("--exact", action="store_true",
+                  help="require exact rational inputs (num/den form)")
+    demo = group("name", choices=_DEMOS)
+    demo.add_argument("--dim", type=int, default=2, help="local dimension for bell")
+    demo.add_argument("--file", metavar="FILE", help="unitary matrix JSON (demo unitary)")
+
+    parser = _Parser(prog="qcoupling", description=__doc__.split("\n")[1])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, parents, handler in (
+        ("check-lifting", "decide quantum lifting existence",
+         [states, eps, out], _cmd_check_lifting),
+        ("classical-check", "decide classical lifting existence",
+         [distributions, exact, out], _cmd_classical_check),
+        ("verify-witness", "re-verify a lifting witness",
+         [files("--rho"), states, tol, out], _cmd_verify_witness),
+        ("verify-certificate", "re-verify a dual certificate",
+         [files("--y1", "--y2"), states, tol, out], _cmd_verify_certificate),
+        ("cross-check", "compare classical and quantum checkers",
+         [distributions, eps, out], _cmd_cross_check),
+        ("demo", "worked examples with verification",
+         [demo, eps, out], lambda args: _DEMOS[args.name](args)),
+    ):
+        sub.add_parser(name, help=summary, parents=parents).set_defaults(handler=handler)
+    return parser
 
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, print JSON; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "demo":
-            payload = _DEMOS[args.name](args)
-        else:
-            payload = _COMMANDS[args.command](args)
-        text = jsonio.dumps(payload)
+        text = jsonio.dumps(args.handler(args))
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

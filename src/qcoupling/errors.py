@@ -3,7 +3,10 @@
 Two failure families exist and they map onto CLI exit codes:
 input errors (the caller handed us something malformed) exit 1,
 numerical failures (an iteration did not converge) exit 2.
+``check_threshold`` is the one rule for solver and verifier thresholds.
 """
+
+import math
 
 
 class InputError(ValueError):
@@ -24,3 +27,12 @@ class SolverFailure(NumericalError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def check_threshold(name: str, value: float) -> float:
+    """value, once checked: solver thresholds and verifier tolerances must be
+    finite and positive (an infinite tolerance accepts anything, a NaN or
+    negative one nothing)."""
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+    return value

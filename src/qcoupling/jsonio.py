@@ -4,7 +4,10 @@ Matrix objects carry "re" (nested rows) and optionally "im"; "dim" or
 "rows"/"cols" may pin the expected shape. Distributions are {"weights":
 [...]} for floats or {"num": [...], "den": [...]} for exact rationals.
 Subspaces are {"projector": <matrix>} or {"span": [<vector>, ...]} where a
-vector is either a plain number array or {"re": [...], "im": [...]}.
+vector is either a plain number array or {"re": [...], "im": [...]}; one
+reader takes the "re"/"im" form of both matrices and vectors, "im" optional.
+A state may add "trace_check": true to demand trace one; the key takes JSON
+booleans only.
 Every number must be a JSON number: booleans and numeric strings are
 rejected, and "m", "n", "pairs", "num", "den", "dim", "rows" and "cols"
 take JSON integers only.
@@ -24,7 +27,6 @@ from . import classical, linalg
 from .classical import ClassicalVerdict, Relation
 from .errors import InputError
 from .quantum import DensityOperator
-from .reduction import EmbeddingReport
 from .sdp import LiftingVerdict
 
 
@@ -83,26 +85,30 @@ def _number_array(obj, label: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _complex_array(obj: dict, label: str, ndim: int) -> np.ndarray:
+    """The complex array, ndim levels deep, of a {"re": ..., "im": ...}
+    object; "im" may be left out, and if given must match "re" in shape."""
+    re_part = _number_array(obj.get("re"), f"{label}re", ndim)
+    im_part = np.zeros_like(re_part)
+    if "im" in obj:
+        im_part = _number_array(obj["im"], f"{label}im", ndim)
+    if im_part.shape != re_part.shape:
+        raise InputError(f'{label}"im" shape differs from "re"')
+    return re_part + 1j * im_part
+
+
 def parse_matrix(obj) -> np.ndarray:
     """Read a complex square matrix from its JSON object form."""
     if not isinstance(obj, dict):
         raise InputError("matrix must be a JSON object with a \"re\" field")
-    if "re" not in obj:
-        raise InputError('matrix object is missing "re"')
-    re_part = _number_array(obj["re"], "re", 2)
-    if "im" in obj:
-        im_part = _number_array(obj["im"], "im", 2)
-        if im_part.shape != re_part.shape:
-            raise InputError('"im" shape differs from "re"')
-    else:
-        im_part = np.zeros_like(re_part)
-    rows, cols = re_part.shape
+    m = _complex_array(obj, "", 2)
+    rows, cols = m.shape
     for key, want in (("dim", rows), ("rows", rows), ("cols", cols)):
         if key in obj and not (_is_int(obj[key]) and obj[key] == want):
             raise InputError(f'"{key}" must be the integer {want}, got {obj[key]!r}')
     if rows != cols:
         raise InputError(f"matrix must be square, got {rows}x{cols}")
-    return re_part + 1j * im_part
+    return m
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -114,24 +120,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def parse_density(obj) -> DensityOperator:
-    """Matrix JSON to a state; "trace_check": true additionally demands tr = 1."""
+    """Matrix JSON to a state; "trace_check": true additionally demands tr = 1,
+    and the key takes JSON booleans only."""
     rho = DensityOperator(parse_matrix(obj))
-    if isinstance(obj, dict) and obj.get("trace_check"):
-        if abs(rho.trace - 1.0) > 1e-9:
-            raise InputError(f"trace_check requested but tr = {rho.trace:.12g} != 1")
+    check = obj.get("trace_check", False)
+    if type(check) is not bool:
+        raise InputError(f'"trace_check" must be true or false, got {check!r}')
+    if check and abs(rho.trace - 1.0) > 1e-9:
+        raise InputError(f"trace_check requested but tr = {rho.trace:.12g} != 1")
     return rho
-
-
-def _parse_vector(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        return _number_array(obj, "span vector", 1)
-    re_part = _number_array(obj.get("re"), "span vector re", 1)
-    if obj.get("im") is None:
-        return re_part
-    im_part = _number_array(obj["im"], "span vector im", 1)
-    if im_part.shape != re_part.shape:
-        raise InputError('span vector "im" length differs from "re"')
-    return re_part + 1j * im_part
 
 
 def parse_subspace(obj, expected_dim: int | None = None) -> linalg.Subspace:
@@ -145,7 +142,11 @@ def parse_subspace(obj, expected_dim: int | None = None) -> linalg.Subspace:
         vecs = obj["span"]
         if not isinstance(vecs, list) or not vecs:
             raise InputError('"span" must be a non-empty array of vectors')
-        sub = linalg.Subspace.from_span([_parse_vector(v) for v in vecs])
+        sub = linalg.Subspace.from_span([
+            _complex_array(v, "span vector ", 1) if isinstance(v, dict)
+            else _number_array(v, "span vector", 1)
+            for v in vecs
+        ])
     if expected_dim is not None and sub.ambient_dim != expected_dim:
         raise InputError(
             f"subspace ambient dim {sub.ambient_dim} != expected {expected_dim}"
@@ -224,13 +225,4 @@ def classical_verdict_to_json(verdict: ClassicalVerdict) -> dict:
     return {
         "verdict": "not_exists",
         "violating_set": sorted(verdict.violating),
-    }
-
-
-def report_to_json(report: EmbeddingReport) -> dict:
-    return {
-        "classical_verdict": report.classical_verdict,
-        "quantum_verdict": report.quantum_verdict,
-        "witness_roundtrip_error": report.witness_roundtrip_error,
-        "agreement": report.agreement,
     }

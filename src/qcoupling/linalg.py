@@ -146,19 +146,23 @@ def _jacobi_eigvals(h: np.ndarray) -> np.ndarray:
     the PSD test's kernel for trusted Hermitian data, which it leaves intact.
 
     Sweeps the strict upper triangle, annihilating one off-diagonal entry
-    per rotation, until the off-diagonal Frobenius norm falls below
-    1e-12 * ||H||_F. Caps at 100 sweeps and raises NumericalError if the
-    cap is hit, which for Hermitian input does not happen in practice.
+    per rotation, until the off-diagonal Frobenius norm, tested before the
+    first sweep and after each one, falls below 1e-12 * ||H||_F. Raises
+    NumericalError if 100 sweeps leave it above, which for Hermitian input
+    does not happen in practice.
     """
     a = np.array(h, dtype=np.complex128)
     d = a.shape[0]
     stop = _JACOBI_OFF_FACTOR * np.linalg.norm(a)
     # entries at or below skip cannot push the off-diagonal norm above stop
     skip = stop / d
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        if off <= stop:
-            break
+    sweeps = 0
+    while np.linalg.norm(a - np.diag(np.diagonal(a))) > stop:
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            raise NumericalError(
+                f"jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
+            )
+        sweeps += 1
         for p in range(d - 1):
             for q in range(p + 1, d):
                 apq = a[p, q]
@@ -183,10 +187,6 @@ def _jacobi_eigvals(h: np.ndarray) -> np.ndarray:
                 a[q, p] = 0.0
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
-    else:
-        raise NumericalError(
-            f"jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
     return np.diagonal(a).real
 
 

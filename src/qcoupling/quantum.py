@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_threshold
 
 DEFAULT_TOL = 1e-7
 PSD_TOL = 1e-9
@@ -107,7 +107,9 @@ def is_coupling(
     rho2: DensityOperator,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """True iff tr_2(rho) = rho1 and tr_1(rho) = rho2, each within tol."""
+    """True iff tr_2(rho) = rho1 and tr_1(rho) = rho2, each within tol.
+    Raises InputError unless tol is finite and positive."""
+    check_threshold("tol", tol)
     dev1, dev2 = marginal_deviation(rho, rho1, rho2)
     return dev1 <= tol and dev2 <= tol
 
@@ -125,7 +127,8 @@ def is_lifting_witness(
     """True iff rho couples (rho1, rho2) and is supported in the subspace.
 
     The support condition is checked as tr(rho * P_perp) <= tol, which for
-    PSD rho is equivalent to supp(rho) inside the subspace.
+    PSD rho is equivalent to supp(rho) inside the subspace. Its first step,
+    ``is_coupling``, rejects a tol that is not finite and positive.
     """
     if not is_coupling(rho, problem.rho1, problem.rho2, tol):
         return False
@@ -229,7 +232,8 @@ def couplings_imply_equal_trace(
 
     Both marginal traces equal tr(rho), and |tr A| <= sqrt(d) * ||A||_F, so
     they cannot differ by more than (sqrt(d1) + sqrt(d2)) * tol. Raises
-    InputError if rho is not a coupling.
+    InputError if tol is not finite and positive (``is_coupling``'s check)
+    or rho is not a coupling.
     """
     if not is_coupling(rho, rho1, rho2, tol):
         raise InputError("rho is not a coupling for (rho1, rho2) at this tolerance")

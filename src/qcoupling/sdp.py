@@ -66,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg, quantum
-from .errors import InputError, SolverFailure
+from .errors import InputError, SolverFailure, check_threshold
 from .quantum import CouplingProblem, DensityOperator
 
 EPS_SOLVE = 1e-8
@@ -243,12 +243,6 @@ def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
 
 
-def _check_threshold(name: str, value: float) -> None:
-    """Solver thresholds must be finite and positive."""
-    if not 0.0 < value < math.inf:
-        raise InputError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _check_traces(problem: CouplingProblem) -> float:
     """tr(rho1), once it is checked to match tr(rho2)."""
     t1 = problem.rho1.trace
@@ -292,7 +286,7 @@ def solve_coupling_sdp(
     residual refers to the compressed system. The primal residual is
     recomputed against the original marginals.
     """
-    _check_threshold("eps", eps)
+    check_threshold("eps", eps)
     if _check_traces(problem) <= 0.0:
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
     d1, d2 = problem.dims
@@ -486,8 +480,10 @@ def verify_dual_certificate(
 
     True iff P_perp - (Y1 (x) I - I (x) Y2) is PSD within tol and
     tr(rho1 Y1) > tr(rho2 Y2) + tol. Such a pair refutes every candidate
-    witness at once. The pair is validated, then tested by ``_verify``.
+    witness at once. The pair and tol are validated, then tested by
+    ``_verify``.
     """
+    check_threshold("tol", tol)
     y1, y2 = linalg.hermitize(y1), linalg.hermitize(y2)
     d1, d2 = problem.dims
     if y1.shape[0] != d1 or y2.shape[0] != d2:
@@ -585,8 +581,8 @@ def check_quantum_lifting(
     inside any subspace, via the zero witness. Otherwise eps_decide must
     lie below tr(rho1), or NotExists could never be reached (InputError).
     """
-    _check_threshold("eps_solve", eps_solve)
-    _check_threshold("eps_decide", eps_decide)
+    check_threshold("eps_solve", eps_solve)
+    check_threshold("eps_decide", eps_decide)
     t1 = _check_traces(problem)
     d1, d2 = problem.dims
     if t1 <= TRACE_MATCH_TOL:

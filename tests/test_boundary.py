@@ -67,7 +67,39 @@ DOOR = {
     "parse-density-trace": lambda: jsonio.parse_density({"re": [[1.0, 0.0], [0.0, 1.0]]}),
     "parse-density-non-hermitian": lambda: jsonio.parse_density(
         {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.2], [0.0, 0.0]]}),
+    "parse-density-trace-check-string": lambda: jsonio.parse_density(
+        {"re": [[1.0]], "trace_check": "false"}),
+    "parse-density-trace-check-integer": lambda: jsonio.parse_density(
+        {"re": [[0.5]], "trace_check": 0}),
 }
+
+# (diag(1, 0), diag(0, 1), span{|00>}) has no coupling at all, yet at an
+# infinite tolerance I/4 would pass as one: every public verifier rejects a
+# tol that is not finite and positive.
+POINT = CouplingProblem(
+    DensityOperator(np.diag([1.0, 0.0])),
+    DensityOperator(np.diag([0.0, 1.0])),
+    Subspace.from_span([[1.0, 0.0, 0.0, 0.0]]),
+)
+MIXED = DensityOperator(np.eye(4) / 4)
+for _name, _tol in {"zero": 0.0, "negative": -1.0, "nan": NAN, "inf": INF}.items():
+    DOOR |= {
+        f"is-coupling-tol-{_name}": lambda t=_tol: quantum.is_coupling(
+            MIXED, POINT.rho1, POINT.rho2, t),
+        f"is-lifting-witness-tol-{_name}": lambda t=_tol: quantum.is_lifting_witness(
+            MIXED, POINT, t),
+        f"equal-trace-tol-{_name}": lambda t=_tol: quantum.couplings_imply_equal_trace(
+            MIXED, POINT.rho1, POINT.rho2, t),
+        f"certificate-tol-{_name}": lambda t=_tol: sdp.verify_dual_certificate(
+            np.eye(2), np.eye(2), POINT, t),
+    }
+    # tol = 0 stays open to the classical verifier: an exact check, which
+    # Fraction inputs can pass
+    if _tol != 0.0:
+        DOOR[f"classical-witness-tol-{_name}"] = lambda t=_tol: (
+            classical.is_lifting_witness_classical(
+                [[0.25, 0.25], [0.25, 0.25]], [1.0, 0.0], [0.0, 1.0],
+                Relation.from_pairs(2, 2, [(0, 0)]), t))
 
 
 @pytest.mark.parametrize("call", DOOR.values(), ids=DOOR.keys())

@@ -488,3 +488,33 @@ def test_matrix_shape_keys_take_json_integers(key):
     for value in (True, 1.0, "1"):
         with pytest.raises(InputError):
             jsonio.parse_matrix({key: value, "re": [[1.0]]})
+
+
+def test_trace_check_is_a_json_boolean():
+    """"trace_check": true demands trace one; false, like leaving it out, does not."""
+    with pytest.raises(InputError):
+        jsonio.parse_density({"re": [[0.5]], "trace_check": True})
+    assert jsonio.parse_density({"re": [[1.0]], "trace_check": True}).trace == 1.0
+    assert jsonio.parse_density({"re": [[0.5]], "trace_check": False}).trace == 0.5
+
+
+# each subcommand's own flags: the flag groups it is composed from
+OWN_FLAGS = {
+    "check-lifting": {"--rho1", "--rho2", "--subspace", "--eps-solve", "--eps-decide", "--out"},
+    "classical-check": {"--mu1", "--mu2", "--relation", "--exact", "--out"},
+    "verify-witness": {"--rho", "--rho1", "--rho2", "--subspace", "--tol", "--out"},
+    "verify-certificate": {"--y1", "--y2", "--rho1", "--rho2", "--subspace", "--tol", "--out"},
+    "cross-check": {"--mu1", "--mu2", "--relation", "--eps-solve", "--eps-decide", "--out"},
+    "demo": {"--dim", "--file", "--eps-solve", "--eps-decide", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_subcommand_help_lists_exactly_its_flags(capsys, command):
+    import re
+
+    with pytest.raises(SystemExit) as exc:
+        cli.run([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert flags - {"--help"} == OWN_FLAGS[command]

@@ -181,6 +181,13 @@ def test_jacobi_sweep_cap_is_a_numerical_error(monkeypatch, tmp_path):
     assert cli.run(["verify-certificate", *args, "--subspace", str(span)]) == 2
 
 
+def test_jacobi_last_allowed_sweep_is_checked(monkeypatch):
+    """Convergence is tested after every sweep, the last allowed one too:
+    one rotation diagonalizes a 2 x 2 exactly, so a one-sweep cap suffices."""
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    assert linalg.is_psd(np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]))
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(InputError):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
