@@ -9,17 +9,33 @@ certificate pair via Y1 -> I - Y1 followed by a positivity shift.
 
 The solver is an infeasible-start primal-dual path-following method with
 Mehrotra-style adaptive centering. Each iteration eliminates the primal
-and slack directions and solves a dense Schur system on the dual block
-Herm(d1) (+) Herm(d2); that operator is positive semidefinite with a
-one-dimensional kernel spanned by (I1, -I2) (both constraint blocks fix
-the same total trace), which is deflated exactly. Strict dual feasibility
-always holds at the start Y = (I1, I2), Z = 2I - P_X >= I.
+and slack directions and solves a Schur system on the dual block; that
+operator is positive semidefinite with a one-dimensional kernel spanned by
+(I1, -I2) (both constraint blocks fix the same total trace), which is
+deflated exactly. Strict dual feasibility always holds at the start
+Y = (I1, I2), Z = 2I - P_X >= I.
 
-The dual block has one coordinate system: the cached orthonormal real basis
-of Herm(n) (diagonal, symmetric and antisymmetric units), held as a matrix
-T whose rows are the flattened basis elements. A Hermitian h has
-coordinates Re(conj(T) h.ravel()), and coordinates v give back the matrix
-(T^T v) reshaped to n x n.
+The loop is written once and runs on one of two cones, chosen from the
+compressed data (below). If every off-diagonal entry of the compressed A,
+rho1 and rho2 is exactly 0.0, as for every embedded Theorem-2 instance and
+for span{|ii>} with diagonal marginals, the iterates stay diagonal and the
+problem is an LP on the diagonals: the diagonal cone keeps X and Z as
+length-D vectors and Y1, Y2 as length-d1 and -d2 vectors, its Schur matrix
+is the (d1+d2)-square [[diag(G 1), G], [G^T, diag(1^T G)]] with G = X/Z as
+a d1 x d2 array, and its step length is the ratio test. This is the
+fixed-point-algebra reduction of Gatermann & Parrilo ("Symmetry groups,
+semidefinite programs, and sums of squares", 2004) in its simplest case.
+Any other data, a round-off entry included, runs on the dense cone
+described next, so the choice can change the cost but not a verdict. The
+diagonal cone hands back the diagonal matrices of its vectors, and every
+proof object is verified against the original problem as before.
+
+On the dense cone the dual block is Herm(d1) (+) Herm(d2), and it has one
+coordinate system: the cached orthonormal real basis of Herm(n) (diagonal,
+symmetric and antisymmetric units), held as a matrix T whose rows are the
+flattened basis elements. A Hermitian h has coordinates
+Re(conj(T) h.ravel()), and coordinates v give back the matrix (T^T v)
+reshaped to n x n.
 
 The Schur entries <G_a, X G_b Z^-1>, with G = E (x) I or I (x) E, are
 contracted straight from X and Z^-1 viewed as (d1, d2, d1, d2) tensors, one
@@ -224,12 +240,25 @@ def _phi_star(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return t.reshape(d1 * d2, d1 * d2)
 
 
+def _alphas(lam) -> list[float]:
+    """Largest steps along (dX, dZ) given the smallest eigenvalues lam of
+    X^-1/2 dX X^-1/2 and Z^-1/2 dZ Z^-1/2: unbounded (_BIG_STEP) unless
+    negative."""
+    return [_BIG_STEP if v >= -1e-16 else -1.0 / v for v in lam]
+
+
 def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
     """Largest alphas with X + alpha*dX and Z + alpha*dZ PSD, given the
     stacked inverse Cholesky factors of X and Z."""
     w = linv @ np.stack([dx, dz]) @ linv.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(linalg.herm(w))[:, 0]
-    return [_BIG_STEP if v >= -1e-16 else -1.0 / v for v in lam.tolist()]
+    return _alphas(np.linalg.eigvalsh(linalg.herm(w))[:, 0].tolist())
+
+
+def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of m @ v = rhs after one refinement pass."""
+    v = np.linalg.solve(m, rhs)
+    v += np.linalg.solve(m, rhs - m @ v)
+    return v
 
 
 def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
@@ -237,10 +266,134 @@ def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     right-hand side pair (r1, r2); both travel in Herm-basis coordinates."""
     d1, d2 = r1.shape[0], r2.shape[0]
     t1, t2, _ = _schur_data(d1, d2)
-    rhs = np.concatenate([_coords(t1, r1), _coords(t2, r2)])
-    dy = np.linalg.solve(m, rhs)
-    dy += np.linalg.solve(m, rhs - m @ dy)  # one refinement pass
+    dy = _refined_solve(m, np.concatenate([_coords(t1, r1), _coords(t2, r2)]))
     return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
+
+
+class _DenseCone:
+    """The semidefinite cone: X and Z are D x D Hermitian matrices and Y1, Y2
+    are d1 x d1 and d2 x d2 ones; products are matrix products, symmetrized
+    where the loop asks. Cholesky factors of X and Z give Z^-1 and the
+    eigenvalue step-length tests (_step_len), and the Schur matrix lives on
+    Herm(d1) (+) Herm(d2) (_schur, _newton_solve)."""
+
+    mul = staticmethod(np.matmul)
+    sym = staticmethod(linalg.herm)
+    kron = staticmethod(np.kron)
+
+    def __init__(self, d1: int, d2: int):
+        self.d1, self.d2 = d1, d2
+        self.kernel = _schur_data(d1, d2)[2]
+
+    @staticmethod
+    def data(m: np.ndarray) -> np.ndarray:
+        return m
+
+    @staticmethod
+    def solution(sol: SdpSolution) -> SdpSolution:
+        return sol
+
+    @staticmethod
+    def eye(n: int) -> np.ndarray:
+        return np.eye(n, dtype=np.complex128)
+
+    @staticmethod
+    def trace(b: np.ndarray) -> float:
+        return float(np.trace(b).real)
+
+    def traces(self, x):
+        return linalg.partial_traces(x, self.d1, self.d2)
+
+    phi_star = staticmethod(_phi_star)
+    newton = staticmethod(_newton_solve)
+    step_len = staticmethod(_step_len)
+
+    @staticmethod
+    def factor(x, z):
+        linv = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
+        return linv, linalg.herm(linv[1].conj().T @ linv[1])
+
+    def schur(self, x, zinv):
+        return _schur(x, zinv, self.d1, self.d2)
+
+
+class _DiagonalCone:
+    """The LP for data whose off-diagonal entries are all exactly 0.0: X and
+    Z are length-D vectors (the diagonals), Y1 and Y2 length-d1 and -d2
+    ones, and every product is elementwise. With G = X/Z as a d1 x d2
+    array, the Schur matrix is [[diag(G 1), G], [G^T, diag(1^T G)]], and a
+    step length is the ratio test min(dv/v). The matrices it hands back are
+    the diagonal matrices of its vectors."""
+
+    mul = staticmethod(np.multiply)
+
+    def __init__(self, d1: int, d2: int):
+        self.d1, self.d2 = d1, d2
+        self.kernel = np.concatenate([np.ones(d1), -np.ones(d2)]) / math.sqrt(d1 + d2)
+
+    @staticmethod
+    def sym(v: np.ndarray) -> np.ndarray:
+        return v
+
+    @staticmethod
+    def data(m: np.ndarray) -> np.ndarray:
+        return np.diagonal(m).real
+
+    @staticmethod
+    def solution(sol: SdpSolution) -> SdpSolution:
+        """sol with its vectors as the diagonal matrices they stand for."""
+        vectors = (sol.primal_x, sol.dual_y1, sol.dual_y2)
+        matrices = (np.diag(v.astype(np.complex128)) for v in vectors)
+        return SdpSolution(*matrices, **vars(sol.stats()))
+
+    @staticmethod
+    def eye(n: int) -> np.ndarray:
+        return np.ones(n)
+
+    @staticmethod
+    def trace(b: np.ndarray) -> float:
+        return float(b.sum())
+
+    def traces(self, x):
+        t = x.reshape(self.d1, self.d2)
+        return t.sum(axis=1), t.sum(axis=0)
+
+    @staticmethod
+    def kron(b1, b2):
+        return np.outer(b1, b2).ravel()
+
+    @staticmethod
+    def phi_star(y1, y2):
+        return (y1[:, None] + y2).ravel()
+
+    @staticmethod
+    def factor(x, z):
+        # the ratio test keeps both positive; this mirrors Cholesky's refusal
+        if not (x.min() > 0.0 and z.min() > 0.0):
+            raise np.linalg.LinAlgError("iterate is not positive")
+        return (x, z), 1.0 / z
+
+    def schur(self, x, zinv):
+        d1 = self.d1
+        g = (x * zinv).reshape(d1, self.d2)
+        m = np.diag(np.concatenate([g.sum(axis=1), g.sum(axis=0)]))
+        m[:d1, d1:] = g
+        m[d1:, :d1] = g.T
+        return m
+
+    def newton(self, m, r1, r2):
+        dy = _refined_solve(m, np.concatenate([r1, r2]))
+        return dy[: self.d1], dy[self.d1 :]
+
+    @staticmethod
+    def step_len(xz, dx, dz):
+        x, z = xz
+        return _alphas([float((dx / x).min()), float((dz / z).min())])
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    """True iff every off-diagonal entry of the square m is exactly 0.0."""
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
 def _check_traces(problem: CouplingProblem) -> float:
@@ -284,7 +437,9 @@ def solve_coupling_sdp(
     rank-deficient, not the full-space operator inequality: primal values,
     dual values, and the gap are the true ones, while the reported dual
     residual refers to the compressed system. The primal residual is
-    recomputed against the original marginals.
+    recomputed against the original marginals. The compressed problem runs
+    on the diagonal cone, as an LP, when none of its off-diagonal entries is
+    nonzero, and on the dense cone otherwise.
     """
     check_threshold("eps", eps)
     if _check_traces(problem) <= 0.0:
@@ -313,37 +468,40 @@ def solve_coupling_sdp(
             sol.iterations,
         )
 
+    cone = _DiagonalCone if all(map(_is_diagonal, (at, bt1, bt2))) else _DenseCone
     try:
-        core = _solve_core(v1.shape[1], v2.shape[1], at, bt1, bt2, eps, dual_target)
+        core = _solve_core(cone(v1.shape[1], v2.shape[1]), at, bt1, bt2, eps, dual_target)
     except SolverFailure as err:
         raise SolverFailure(str(err), lift(err.best)) from None
     return lift(core)
 
 
 def _solve_core(
-    d1: int,
-    d2: int,
+    cone: _DenseCone | _DiagonalCone,
     a: np.ndarray,
     b1: np.ndarray,
     b2: np.ndarray,
     eps: float,
     dual_target: float | None,
 ) -> SdpSolution:
-    """Run the interior-point iteration on assembled problem data.
+    """Run the interior-point iteration on assembled problem data, on the
+    cone given (_DenseCone or _DiagonalCone, built for the data's d1, d2).
 
     Requires strictly positive-definite b1, b2 (solve_coupling_sdp passes
     the marginals compressed to their supports) and a <= I so that
     Z = 2I - a starts strictly feasible; a need not be a projector.
     """
+    a, b1, b2 = cone.data(a), cone.data(b1), cone.data(b2)
+    d1, d2 = cone.d1, cone.d2
     d = d1 * d2
-    t = float(np.trace(b1).real)
-    kernel = _schur_data(d1, d2)[2]
+    t = cone.trace(b1)
+    kernel = cone.kernel
     m = kernel.size
-    eye = np.eye(d, dtype=np.complex128)
+    eye = cone.eye(d)
 
-    x = 0.9 / t * np.kron(b1, b2) + 0.1 * t / d * eye
-    y1 = np.eye(d1, dtype=np.complex128)
-    y2 = np.eye(d2, dtype=np.complex128)
+    x = 0.9 / t * cone.kron(b1, b2) + 0.1 * t / d * eye
+    y1 = cone.eye(d1)
+    y2 = cone.eye(d2)
     z = 2.0 * eye - a
 
     def snapshot(iters):
@@ -355,20 +513,20 @@ def _solve_core(
         # second-order term corr and centring target smu = sigma * mu;
         # direction(0, 0) is the affine predictor. Reads the loop's current
         # x, rd, xrd, zinv, zi1, zi2 and schur.
-        w1, w2 = linalg.partial_traces(linalg.herm((xrd - corr) @ zinv), d1, d2)
-        dy1, dy2 = _newton_solve(schur, smu * zi1 - b1 + w1, smu * zi2 - b2 + w2)
-        dz = _phi_star(dy1, dy2) - rd
-        dx = smu * zinv - x - linalg.herm((corr + x @ dz) @ zinv)
+        w1, w2 = cone.traces(cone.sym(cone.mul(xrd - corr, zinv)))
+        dy1, dy2 = cone.newton(schur, smu * zi1 - b1 + w1, smu * zi2 - b2 + w2)
+        dz = cone.phi_star(dy1, dy2) - rd
+        dx = smu * zinv - x - cone.sym(cone.mul(corr + cone.mul(x, dz), zinv))
         return dx, dy1, dy2, dz
 
     best = None
     best_score = np.inf
     try:
         for it in range(_MAX_ITER + 1):
-            p1, p2 = linalg.partial_traces(x, d1, d2)
+            p1, p2 = cone.traces(x)
             rp1 = b1 - p1
             rp2 = b2 - p2
-            rd = a + z - _phi_star(y1, y2)
+            rd = a + z - cone.phi_star(y1, y2)
             mu = float(np.vdot(x, z).real) / d
             pres = math.hypot(np.linalg.norm(rp1), np.linalg.norm(rp2))
             dres = float(np.linalg.norm(rd))
@@ -387,27 +545,26 @@ def _solve_core(
                 or (pres <= eps and t - pval <= eps and pval >= dual_target)
             )
             if decided or (dres <= eps and gap <= eps and pres <= eps):
-                return snapshot(it)
+                return cone.solution(snapshot(it))
             if it == _MAX_ITER:
                 break
 
-            linv = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
-            zinv = linalg.herm(linv[1].conj().T @ linv[1])
-            schur = _schur(x, zinv, d1, d2)
+            factors, zinv = cone.factor(x, z)
+            schur = cone.schur(x, zinv)
             deflate = max(1.0, float(np.trace(schur)) / m)
             schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
 
-            zi1, zi2 = linalg.partial_traces(zinv, d1, d2)
-            xrd = x @ rd
+            zi1, zi2 = cone.traces(zinv)
+            xrd = cone.mul(x, rd)
             dxa, _, _, dza = direction(0.0, 0.0)
-            ap_aff, ad_aff = (min(1.0, s) for s in _step_len(linv, dxa, dza))
+            ap_aff, ad_aff = (min(1.0, s) for s in cone.step_len(factors, dxa, dza))
             mu_aff = max(
                 0.0, float(np.vdot(x + ap_aff * dxa, z + ad_aff * dza).real) / d
             )
             sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) if mu > 0 else _SIGMA_MAX
-            dx, dy1, dy2, dz = direction(dxa @ dza, sigma * mu)
+            dx, dy1, dy2, dz = direction(cone.mul(dxa, dza), sigma * mu)
 
-            ap, ad = (min(1.0, _BOUNDARY * s) for s in _step_len(linv, dx, dz))
+            ap, ad = (min(1.0, _BOUNDARY * s) for s in cone.step_len(factors, dx, dz))
             x = x + ap * dx
             y1 = y1 + ad * dy1
             y2 = y2 + ad * dy2
@@ -417,14 +574,14 @@ def _solve_core(
             f"interior-point linear algebra broke down at iteration {it} ({err}); "
             f"best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
             f"{best.dual_residual:.3e}",
-            best,
+            cone.solution(best),
         ) from err
 
     raise SolverFailure(
         f"interior-point solve did not reach {eps:.1e} within {_MAX_ITER} iterations "
         f"(best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
         f"{best.dual_residual:.3e})",
-        best,
+        cone.solution(best),
     )
 
 

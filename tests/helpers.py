@@ -1,11 +1,11 @@
-"""Shared random generators for the test suite. Everything takes an explicit
-numpy Generator so each test pins its own seed."""
+"""Shared random generators for the test suite, plus one solver probe. Every
+generator takes an explicit numpy Generator so each test pins its own seed."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from qcoupling import DensityOperator, Relation, Subspace
+from qcoupling import DensityOperator, Relation, Subspace, sdp
 
 
 def rand_hermitian(rng, d, scale=1.0):
@@ -54,3 +54,17 @@ def all_relations(m, n):
 def rand_relation(rng, m, n, p=0.5):
     pairs = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
     return Relation.from_pairs(m, n, pairs)
+
+
+def record_cones(monkeypatch):
+    """The list of cones that every later interior-point solve runs on, in
+    call order, recorded by wrapping sdp._solve_core."""
+    cones = []
+    core = sdp._solve_core
+
+    def recording(cone, *args):
+        cones.append(cone)
+        return core(cone, *args)
+
+    monkeypatch.setattr(sdp, "_solve_core", recording)
+    return cones

@@ -1,14 +1,24 @@
 """Tests for the interior-point solver and the lifting decision procedure."""
 
+import json
+
 import numpy as np
 import pytest
 
-from qcoupling import linalg, quantum, sdp
+from qcoupling import cli, linalg, quantum, reduction, sdp
 from qcoupling.errors import InputError, SolverFailure
 from qcoupling.linalg import Subspace
 from qcoupling.quantum import CouplingProblem, DensityOperator
 
-from helpers import rand_density, rand_hermitian, rand_subspace, rand_unitary
+from helpers import (
+    rand_density,
+    rand_hermitian,
+    rand_matched_rationals,
+    rand_relation,
+    rand_subspace,
+    rand_unitary,
+    record_cones,
+)
 
 
 def _bell_vec(d):
@@ -743,14 +753,31 @@ def test_iterates_are_hermitian_without_symmetrization(monkeypatch, kind):
             assert np.array_equal(m, m.conj().T)
 
 
-@pytest.mark.parametrize("routine, calls_per_step", [("cholesky", 1), ("solve", 4)])
-def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per_step):
+def _identity_coupling_problem():
+    rho = rand_density(np.random.default_rng(61), 3)
+    return CouplingProblem(rho, rho, quantum.coupling_identity_basis(rho)[1])
+
+
+def _bell_problem(d):
+    """(I/d, I/d) inside span{|ii>}: diagonal data, so an LP."""
+    uniform = quantum.uniform_density(d)
+    span = [np.eye(d * d)[i * d + i] for i in range(d)]
+    return CouplingProblem(uniform, uniform, Subspace.from_span(span))
+
+
+@pytest.mark.parametrize("routine, calls_per_step, make, cone", [
+    pytest.param("cholesky", 1, _identity_coupling_problem, sdp._DenseCone, id="cholesky-1"),
+    pytest.param("solve", 4, _identity_coupling_problem, sdp._DenseCone, id="solve-4"),
+    pytest.param("solve", 4, lambda: _bell_problem(3), sdp._DiagonalCone, id="solve-4-diagonal"),
+])
+def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per_step, make, cone):
     """With no fallback in the loop, a LinAlgError at its factorization or
     its Newton solve ends the decision as a SolverFailure carrying the best
-    iterate before the failing step; no raw LinAlgError escapes."""
-    rho = rand_density(np.random.default_rng(61), 3)
-    problem = CouplingProblem(rho, rho, quantum.coupling_identity_basis(rho)[1])
+    iterate before the failing step; no raw LinAlgError escapes. Both cones
+    make 4 Newton solves per step: predictor and corrector, each refined once."""
+    problem = make()
     k = 3  # the failing step; its iterate is number k - 1
+    cones = record_cones(monkeypatch)
     assert sdp.check_quantum_lifting(problem).diagnostics.iterations >= k
     calls = []
     real = getattr(np.linalg, routine)
@@ -765,6 +792,7 @@ def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per
     with pytest.raises(SolverFailure) as info:
         sdp.check_quantum_lifting(problem)
     assert f"broke down at iteration {k - 1}" in str(info.value)
+    assert [type(c) for c in cones] == [cone, cone]
     best = info.value.best
     assert best.iterations < k
     assert best.primal_x.shape == (9, 9)
@@ -807,3 +835,106 @@ def test_completion_refuses_a_margin_the_dual_residual_can_eat():
     with pytest.raises(SolverFailure, match="margin") as info:
         sdp._complete_dual(sol, eye, eye, 1.0)
     assert info.value.best is sol
+
+
+# ---------------------------------------------------------------------------
+# the two cones
+
+
+def _theorem2_problems(rng, count):
+    """Embedded [3] x [3] instances with nonzero trace."""
+    while count:
+        mu1, mu2 = rand_matched_rationals(rng, 3, 3)
+        if sum(mu1) == 0:
+            continue
+        count -= 1
+        yield CouplingProblem(
+            reduction.embed_distribution(mu1),
+            reduction.embed_distribution(mu2),
+            reduction.embed_relation(rand_relation(rng, 3, 3)),
+        )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_bell_demo_solves_on_the_diagonal_cone(monkeypatch, capsys, d):
+    cones = record_cones(monkeypatch)
+    assert cli.run(["demo", "bell", "--dim", str(d)]) == 0
+    assert json.loads(capsys.readouterr().out)["checker"]["verdict"] == "exists"
+    assert [(type(c), c.d1, c.d2) for c in cones] == [(sdp._DiagonalCone, d, d)]
+
+
+def test_dense_cone_is_the_reference_for_the_diagonal_cone(monkeypatch):
+    """On the same compressed diagonal data the LP and the dense solve reach
+    the same decision within one iteration, and converge to the same
+    values."""
+    core = sdp._solve_core
+    cores = []
+    monkeypatch.setattr(sdp, "_solve_core", lambda *args: cores.append(args) or core(*args))
+    problems = [
+        *_theorem2_problems(np.random.default_rng(4242), 200),
+        *(_bell_problem(d) for d in (2, 3, 4, 5)),
+        point_problem(),
+    ]
+    refuted = 0
+    for problem in problems:
+        cores.clear()
+        target = problem.rho1.trace - sdp.EPS_DECIDE
+        sdp.solve_coupling_sdp(problem, dual_target=target)
+        ((cone, a, b1, b2, eps, _),) = cores
+        assert type(cone) is sdp._DiagonalCone
+        for stop in (target, None):
+            dense, lp = (
+                core(kind(cone.d1, cone.d2), a, b1, b2, eps, stop)
+                for kind in (sdp._DenseCone, sdp._DiagonalCone)
+            )
+            assert abs(dense.iterations - lp.iterations) <= 1
+            if stop is None:
+                assert lp.primal_value == pytest.approx(dense.primal_value, abs=1e-7)
+                assert lp.dual_value == pytest.approx(dense.dual_value, abs=1e-7)
+                continue
+            decide = lambda sol: sol.dual_residual <= eps and sol.dual_value < stop
+            assert decide(lp) == decide(dense)
+            refuted += decide(lp)
+    assert 20 <= refuted <= len(problems) - 20
+
+
+def _nudged(m, i, j):
+    """m with entries (i, j) and (j, i) set to the round-off amount 1e-17."""
+    m = m.copy()
+    m[i, j] = m[j, i] = 1e-17
+    return m
+
+
+def _proof_verifies(verdict, problem):
+    if verdict.exists:
+        return quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+    return sdp.verify_dual_certificate(*verdict.certificate, problem, tol=1e-7)
+
+
+def test_round_off_off_diagonal_keeps_the_dense_cone_and_the_verdict(monkeypatch):
+    """Only exact zeros select the LP: a projector entry of 1e-17 between two
+    product-support directions reaches the compressed A as an off-diagonal
+    entry and keeps the dense cone, and the verdict and the re-verification
+    of its proof object stay. A marginal nudged the same way may be
+    diagonalized exactly by its own eigenbasis, so only its verdict is
+    pinned."""
+    cones = record_cones(monkeypatch)
+    seen = set()
+    for problem in _theorem2_problems(np.random.default_rng(77), 12):
+        want = sdp.check_quantum_lifting(problem).exists
+        rho1, rho2, sub = problem.rho1, problem.rho2, problem.subspace
+        on = np.flatnonzero(np.kron(np.diagonal(rho1.mat), np.diagonal(rho2.mat)))
+        if on.size >= 2:
+            p = _nudged(sub.projector, *on[:2])
+            case = CouplingProblem(rho1, rho2, Subspace(p.shape[0], p))
+            cones.clear()
+            verdict = sdp.check_quantum_lifting(case)
+            assert [type(c) for c in cones] == [sdp._DenseCone]
+            assert verdict.exists == want and _proof_verifies(verdict, case)
+            seen.add(want)
+        on1 = np.flatnonzero(np.diagonal(rho1.mat))
+        if on1.size >= 2:
+            case = CouplingProblem(DensityOperator(_nudged(rho1.mat, *on1[:2])), rho2, sub)
+            verdict = sdp.check_quantum_lifting(case)
+            assert verdict.exists == want and _proof_verifies(verdict, case)
+    assert seen == {True, False}
