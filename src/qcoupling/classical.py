@@ -13,6 +13,7 @@ that rational inputs stay rational, making the oracle path exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -222,8 +223,11 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     mu1(complement of S) + mu2(R(S)) < |mu1|.
 
     Rational weights (int/Fraction) are processed exactly and must have
-    equal totals; floats may differ in total by 1e-9 and use an
-    augmentation cutoff of 1e-12 * |mu1|.
+    equal totals: the network runs on integers, every capacity scaled by the
+    weights' common denominator, which keeps every comparison and so the
+    augmenting paths, and only the witness turns back into Fractions.
+    Floats may differ in total by 1e-9 and use an augmentation cutoff of
+    1e-12 * |mu1|.
     """
     mu1 = check_subdistribution(mu1)
     mu2 = check_subdistribution(mu2)
@@ -241,29 +245,34 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
         witness = tuple(tuple(zero for _ in range(n)) for _ in range(m))
         return ClassicalVerdict(True, witness, None)
 
+    if exact:
+        scale = math.lcm(*(w.denominator for w in mu1 + mu2))
+        capacity = lambda w: w.numerator * (scale // w.denominator)
+    else:
+        capacity = lambda w: w + 0.0
     source, sink = m + n, m + n + 1
-    infinite = t1 + 1
+    infinite = capacity(t1 + 1)
     cap = [{} for _ in range(m + n + 2)]
 
     def add_edge(u, v, c):
         cap[u][v] = c
-        cap[v][u] = zero
+        cap[v][u] = capacity(0)
 
     for i in range(m):
-        add_edge(source, i, mu1[i] + zero)
+        add_edge(source, i, capacity(mu1[i]))
     for j in range(n):
-        add_edge(m + j, sink, mu2[j] + zero)
+        add_edge(m + j, sink, capacity(mu2[j]))
     for i, j in sorted(relation.pairs):
         add_edge(i, m + j, infinite)
-    cutoff = zero if exact else _FLOW_CUTOFF * float(t1)
+    cutoff = 0 if exact else _FLOW_CUTOFF * float(t1)
     flow, reached = _edmonds_karp(cap, source, sink, cutoff)
 
-    saturated = flow == t1 if exact else t1 - flow <= 1e-9 * max(1.0, float(t1))
+    saturated = flow == capacity(t1) if exact else t1 - flow <= 1e-9 * max(1.0, float(t1))
     if saturated:
         witness = [[zero] * n for _ in range(m)]
         for i, j in relation.pairs:
             sent = infinite - cap[i][m + j]
-            witness[i][j] = sent if exact else max(float(sent), 0.0)
+            witness[i][j] = Fraction(sent, scale) if exact else max(float(sent), 0.0)
         return ClassicalVerdict(True, tuple(tuple(r) for r in witness), None)
 
     violating = frozenset(i for i in range(m) if i in reached)

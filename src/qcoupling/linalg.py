@@ -237,6 +237,16 @@ class Subspace:
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
 
+    @classmethod
+    def _trusted(cls, projector: np.ndarray) -> "Subspace":
+        """The subspace of a complex matrix that is an orthogonal projector by
+        construction, unchecked; the matrix becomes read-only."""
+        projector.setflags(write=False)
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "ambient_dim", projector.shape[0])
+        object.__setattr__(subspace, "projector", projector)
+        return subspace
+
     @property
     def rank(self) -> int:
         return int(round(np.trace(self.projector).real))

@@ -89,6 +89,16 @@ class CouplingProblem:
     def dims(self) -> tuple[int, int]:
         return self.rho1.dim, self.rho2.dim
 
+    @cached_property
+    def diagonal(self) -> bool:
+        """True iff every off-diagonal entry of rho1, rho2 and the subspace's
+        projector is exactly 0.0, as for every embedded classical problem;
+        read once, as the problem's arrays are read-only."""
+        return all(
+            np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+            for m in (self.rho1.mat, self.rho2.mat, self.subspace.projector)
+        )
+
 
 def marginal_deviation(
     rho: DensityOperator, rho1: DensityOperator, rho2: DensityOperator

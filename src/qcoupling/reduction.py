@@ -48,13 +48,14 @@ def embed_distribution(weights) -> DensityOperator:
 
 
 def embed_relation(relation: Relation) -> linalg.Subspace:
-    """span{|i>|j> : (i, j) in R} as a diagonal projector, built exactly."""
+    """span{|i>|j> : (i, j) in R} as a diagonal projector, built exactly:
+    its 0/1 diagonal is a projector by construction, so it is not checked."""
     d = relation.m * relation.n
     p = np.zeros((d, d), dtype=np.complex128)
     for i, j in relation.pairs:
         k = linalg.pair_index(i, j, relation.n)
         p[k, k] = 1.0
-    return linalg.Subspace(d, p)
+    return linalg.Subspace._trusted(p)
 
 
 def embed_joint(joint) -> DensityOperator:

@@ -15,20 +15,25 @@ operator is positive semidefinite with a one-dimensional kernel spanned by
 deflated exactly. Strict dual feasibility always holds at the start
 Y = (I1, I2), Z = 2I - P_X >= I.
 
-The loop is written once and runs on one of two cones, chosen from the
-compressed data (below). If every off-diagonal entry of the compressed A,
-rho1 and rho2 is exactly 0.0, as for every embedded Theorem-2 instance and
+The loop is written once and runs on one of two cones, chosen once per
+problem from its input. If every off-diagonal entry of rho1, rho2 and the
+projector P is exactly 0.0, as for every embedded Theorem-2 instance and
 for span{|ii>} with diagonal marginals, the iterates stay diagonal and the
-problem is an LP on the diagonals: the diagonal cone keeps X and Z as
+problem is an LP on the diagonals, decided on vectors from input to proof
+object: the supports are read off the marginals' diagonals by the one
+support rule, compression is indexing, the diagonal cone keeps X and Z as
 length-D vectors and Y1, Y2 as length-d1 and -d2 vectors, its Schur matrix
 is the (d1+d2)-square [[diag(G 1), G], [G^T, diag(1^T G)]] with G = X/Z as
-a d1 x d2 array, and its step length is the ratio test. This is the
+a d1 x d2 array, its step length is the ratio test, the lift scatters into
+zeros, and the certificate is completed, transformed and shifted on the
+d1- and d2-vectors. No D x D matrix is formed before verification: only
+the returned witness and certificate become (diagonal) matrices, checked
+against the original problem like any other. This is the
 fixed-point-algebra reduction of Gatermann & Parrilo ("Symmetry groups,
 semidefinite programs, and sums of squares", 2004) in its simplest case.
-Any other data, a round-off entry included, runs on the dense cone
-described next, so the choice can change the cost but not a verdict. The
-diagonal cone hands back the diagonal matrices of its vectors, and every
-proof object is verified against the original problem as before.
+Any other input, a round-off entry included, runs on the dense cone
+described next, even when its compression happens to be diagonal, so the
+choice can change the cost but not a verdict.
 
 On the dense cone the dual block is Herm(d1) (+) Herm(d2), and it has one
 coordinate system: the cached orthonormal real basis of Herm(n) (diagonal,
@@ -70,7 +75,7 @@ one pass over these trusted arrays. An Exists witness is the stopping
 primal iterate, lifted and rescaled to trace tr(rho1): every iterate is
 positive definite, so the witness is a state by construction and is never
 diagonalized. A verdict keeps its proof object and the stopping iterate's
-numbers; the iterate's matrices stay with solve_coupling_sdp's SdpSolution.
+numbers; the iterate's arrays stay with solve_coupling_sdp's SdpSolution.
 """
 
 from __future__ import annotations
@@ -112,7 +117,9 @@ class IterateStats:
 
 @dataclass(frozen=True, init=False)
 class SdpSolution(IterateStats):
-    """An iterate's numbers plus its primal/dual pair.
+    """An iterate's numbers plus its primal/dual pair: matrices, or for an
+    exactly diagonal problem (decided on the diagonal cone) their diagonals
+    as 1-D arrays.
 
     Built as SdpSolution(primal_x, dual_y1, dual_y2, *numbers), with the
     numbers in IterateStats' field order, or with any of them by name."""
@@ -275,23 +282,51 @@ class _DenseCone:
     are d1 x d1 and d2 x d2 ones; products are matrix products, symmetrized
     where the loop asks. Cholesky factors of X and Z give Z^-1 and the
     eigenvalue step-length tests (_step_len), and the Schur matrix lives on
-    Herm(d1) (+) Herm(d2) (_schur, _newton_solve)."""
+    Herm(d1) (+) Herm(d2) (_schur, _newton_solve). A support is an isometry,
+    compression and lift are congruences by it, and the spectral bounds of
+    a certificate operator come from LAPACK (ascending)."""
 
     mul = staticmethod(np.matmul)
     sym = staticmethod(linalg.herm)
     kron = staticmethod(np.kron)
+    traces = staticmethod(linalg.partial_traces)
 
     def __init__(self, d1: int, d2: int):
         self.d1, self.d2 = d1, d2
         self.kernel = _schur_data(d1, d2)[2]
 
     @staticmethod
-    def data(m: np.ndarray) -> np.ndarray:
-        return m
+    def inputs(problem: CouplingProblem):
+        """A, rho1 and rho2 as matrices, and the support isometries of rho1
+        and rho2 (one cached eigendecomposition per state)."""
+        rho1, rho2 = problem.rho1, problem.rho2
+        return (problem.subspace.projector, rho1.mat, rho2.mat,
+                rho1.support_isometry, rho2.support_isometry)
 
     @staticmethod
-    def solution(sol: SdpSolution) -> SdpSolution:
-        return sol
+    def compress(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return linalg.herm(v.conj().T @ m @ v)
+
+    @staticmethod
+    def lift(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return linalg.herm(v @ m @ v.conj().T)
+
+    @staticmethod
+    def projector(v: np.ndarray) -> np.ndarray:
+        return v @ v.conj().T
+
+    @staticmethod
+    def norm(y: np.ndarray) -> float:
+        return np.linalg.norm(y, 2)
+
+    @staticmethod
+    def bounds(y: np.ndarray) -> tuple[float, float]:
+        w = np.linalg.eigvalsh(y)
+        return float(w[0]), float(w[-1])
+
+    @staticmethod
+    def matrix(m: np.ndarray) -> np.ndarray:
+        return m
 
     @staticmethod
     def eye(n: int) -> np.ndarray:
@@ -300,9 +335,6 @@ class _DenseCone:
     @staticmethod
     def trace(b: np.ndarray) -> float:
         return float(np.trace(b).real)
-
-    def traces(self, x):
-        return linalg.partial_traces(x, self.d1, self.d2)
 
     phi_star = staticmethod(_phi_star)
     newton = staticmethod(_newton_solve)
@@ -318,12 +350,14 @@ class _DenseCone:
 
 
 class _DiagonalCone:
-    """The LP for data whose off-diagonal entries are all exactly 0.0: X and
-    Z are length-D vectors (the diagonals), Y1 and Y2 length-d1 and -d2
+    """The LP for problems whose off-diagonal entries are all exactly 0.0: X
+    and Z are length-D vectors (the diagonals), Y1 and Y2 length-d1 and -d2
     ones, and every product is elementwise. With G = X/Z as a d1 x d2
     array, the Schur matrix is [[diag(G 1), G], [G^T, diag(1^T G)]], and a
-    step length is the ratio test min(dv/v). The matrices it hands back are
-    the diagonal matrices of its vectors."""
+    step length is the ratio test min(dv/v). A support is a boolean mask,
+    compression is indexing and a lift scatters into zeros; a diagonal
+    operator's norm and spectral bounds are its largest |entry| and its
+    extreme entries. Only a proof object becomes a (diagonal) matrix."""
 
     mul = staticmethod(np.multiply)
 
@@ -332,19 +366,44 @@ class _DiagonalCone:
         self.kernel = np.concatenate([np.ones(d1), -np.ones(d2)]) / math.sqrt(d1 + d2)
 
     @staticmethod
+    def inputs(problem: CouplingProblem):
+        """The diagonals of A, rho1 and rho2, and the support masks of rho1
+        and rho2 (``linalg.support_mask`` of their diagonals)."""
+        a, b1, b2 = (
+            np.diagonal(m).real
+            for m in (problem.subspace.projector, problem.rho1.mat, problem.rho2.mat)
+        )
+        return a, b1, b2, linalg.support_mask(b1), linalg.support_mask(b2)
+
+    @staticmethod
+    def compress(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return v[mask]
+
+    @staticmethod
+    def lift(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        out = np.zeros(mask.size)
+        out[mask] = v
+        return out
+
+    @staticmethod
+    def projector(mask: np.ndarray) -> np.ndarray:
+        return mask
+
+    @staticmethod
+    def norm(y: np.ndarray) -> float:
+        return float(np.abs(y).max())
+
+    @staticmethod
+    def bounds(y: np.ndarray) -> tuple[float, float]:
+        return float(y.min()), float(y.max())
+
+    @staticmethod
+    def matrix(v: np.ndarray) -> np.ndarray:
+        return np.diag(v.astype(np.complex128))
+
+    @staticmethod
     def sym(v: np.ndarray) -> np.ndarray:
         return v
-
-    @staticmethod
-    def data(m: np.ndarray) -> np.ndarray:
-        return np.diagonal(m).real
-
-    @staticmethod
-    def solution(sol: SdpSolution) -> SdpSolution:
-        """sol with its vectors as the diagonal matrices they stand for."""
-        vectors = (sol.primal_x, sol.dual_y1, sol.dual_y2)
-        matrices = (np.diag(v.astype(np.complex128)) for v in vectors)
-        return SdpSolution(*matrices, **vars(sol.stats()))
 
     @staticmethod
     def eye(n: int) -> np.ndarray:
@@ -354,8 +413,9 @@ class _DiagonalCone:
     def trace(b: np.ndarray) -> float:
         return float(b.sum())
 
-    def traces(self, x):
-        t = x.reshape(self.d1, self.d2)
+    @staticmethod
+    def traces(x, d1, d2):
+        t = x.reshape(d1, d2)
         return t.sum(axis=1), t.sum(axis=0)
 
     @staticmethod
@@ -391,9 +451,11 @@ class _DiagonalCone:
         return _alphas([float((dx / x).min()), float((dz / z).min())])
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    """True iff every off-diagonal entry of the square m is exactly 0.0."""
-    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+def _cone(problem: CouplingProblem):
+    """The cone a problem is decided on, chosen from its input: the LP when
+    it is exactly diagonal (``CouplingProblem.diagonal``), else the dense
+    cone."""
+    return _DiagonalCone if problem.diagonal else _DenseCone
 
 
 def _check_traces(problem: CouplingProblem) -> float:
@@ -437,29 +499,32 @@ def solve_coupling_sdp(
     rank-deficient, not the full-space operator inequality: primal values,
     dual values, and the gap are the true ones, while the reported dual
     residual refers to the compressed system. The primal residual is
-    recomputed against the original marginals. The compressed problem runs
-    on the diagonal cone, as an LP, when none of its off-diagonal entries is
-    nonzero, and on the dense cone otherwise.
+    recomputed against the original marginals.
+
+    An exactly diagonal problem (``CouplingProblem.diagonal``) is solved as
+    an LP on vectors from start to finish, with supports read off the
+    marginals' diagonals; its solution, like the best iterate of its
+    SolverFailure, holds the diagonals of X, Y1 and Y2 as 1-D real arrays
+    (lengths d1*d2, d1 and d2). Any other problem runs on the dense cone,
+    and its solution holds the matrices.
     """
     check_threshold("eps", eps)
     if _check_traces(problem) <= 0.0:
         raise InputError("tr(rho1) must be positive (zero states are decided upstream)")
     d1, d2 = problem.dims
-    a, b1, b2 = problem.subspace.projector, problem.rho1.mat, problem.rho2.mat
-    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
-    w = np.kron(v1, v2)
-    at = linalg.herm(w.conj().T @ a @ w)
-    bt1 = linalg.herm(v1.conj().T @ b1 @ v1)
-    bt2 = linalg.herm(v2.conj().T @ b2 @ v2)
+    cone = _cone(problem)
+    a, b1, b2, v1, v2 = cone.inputs(problem)
+    w = cone.kron(v1, v2)
+    at, bt1, bt2 = cone.compress(a, w), cone.compress(b1, v1), cone.compress(b2, v2)
 
     def lift(sol: SdpSolution) -> SdpSolution:
-        x = linalg.herm(w @ sol.primal_x @ w.conj().T)
-        p1, p2 = linalg.partial_traces(x, d1, d2)
+        x = cone.lift(sol.primal_x, w)
+        p1, p2 = cone.traces(x, d1, d2)
         pres = math.hypot(np.linalg.norm(b1 - p1), np.linalg.norm(b2 - p2))
         return SdpSolution(
             x,
-            linalg.herm(v1 @ sol.dual_y1 @ v1.conj().T),
-            linalg.herm(v2 @ sol.dual_y2 @ v2.conj().T),
+            cone.lift(sol.dual_y1, v1),
+            cone.lift(sol.dual_y2, v2),
             sol.primal_value,
             sol.dual_value,
             sol.gap,
@@ -468,9 +533,8 @@ def solve_coupling_sdp(
             sol.iterations,
         )
 
-    cone = _DiagonalCone if all(map(_is_diagonal, (at, bt1, bt2))) else _DenseCone
     try:
-        core = _solve_core(cone(v1.shape[1], v2.shape[1]), at, bt1, bt2, eps, dual_target)
+        core = _solve_core(cone(bt1.shape[0], bt2.shape[0]), at, bt1, bt2, eps, dual_target)
     except SolverFailure as err:
         raise SolverFailure(str(err), lift(err.best)) from None
     return lift(core)
@@ -485,13 +549,13 @@ def _solve_core(
     dual_target: float | None,
 ) -> SdpSolution:
     """Run the interior-point iteration on assembled problem data, on the
-    cone given (_DenseCone or _DiagonalCone, built for the data's d1, d2).
+    cone given (_DenseCone or _DiagonalCone, built for the data's d1, d2)
+    and in its form: matrices, or the diagonals as 1-D arrays.
 
     Requires strictly positive-definite b1, b2 (solve_coupling_sdp passes
     the marginals compressed to their supports) and a <= I so that
     Z = 2I - a starts strictly feasible; a need not be a projector.
     """
-    a, b1, b2 = cone.data(a), cone.data(b1), cone.data(b2)
     d1, d2 = cone.d1, cone.d2
     d = d1 * d2
     t = cone.trace(b1)
@@ -513,7 +577,7 @@ def _solve_core(
         # second-order term corr and centring target smu = sigma * mu;
         # direction(0, 0) is the affine predictor. Reads the loop's current
         # x, rd, xrd, zinv, zi1, zi2 and schur.
-        w1, w2 = cone.traces(cone.sym(cone.mul(xrd - corr, zinv)))
+        w1, w2 = cone.traces(cone.sym(cone.mul(xrd - corr, zinv)), d1, d2)
         dy1, dy2 = cone.newton(schur, smu * zi1 - b1 + w1, smu * zi2 - b2 + w2)
         dz = cone.phi_star(dy1, dy2) - rd
         dx = smu * zinv - x - cone.sym(cone.mul(corr + cone.mul(x, dz), zinv))
@@ -523,7 +587,7 @@ def _solve_core(
     best_score = np.inf
     try:
         for it in range(_MAX_ITER + 1):
-            p1, p2 = cone.traces(x)
+            p1, p2 = cone.traces(x, d1, d2)
             rp1 = b1 - p1
             rp2 = b2 - p2
             rd = a + z - cone.phi_star(y1, y2)
@@ -545,7 +609,7 @@ def _solve_core(
                 or (pres <= eps and t - pval <= eps and pval >= dual_target)
             )
             if decided or (dres <= eps and gap <= eps and pres <= eps):
-                return cone.solution(snapshot(it))
+                return snapshot(it)
             if it == _MAX_ITER:
                 break
 
@@ -554,7 +618,7 @@ def _solve_core(
             deflate = max(1.0, float(np.trace(schur)) / m)
             schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
 
-            zi1, zi2 = cone.traces(zinv)
+            zi1, zi2 = cone.traces(zinv, d1, d2)
             xrd = cone.mul(x, rd)
             dxa, _, _, dza = direction(0.0, 0.0)
             ap_aff, ad_aff = (min(1.0, s) for s in cone.step_len(factors, dxa, dza))
@@ -574,20 +638,20 @@ def _solve_core(
             f"interior-point linear algebra broke down at iteration {it} ({err}); "
             f"best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
             f"{best.dual_residual:.3e}",
-            cone.solution(best),
+            best,
         ) from err
 
     raise SolverFailure(
         f"interior-point solve did not reach {eps:.1e} within {_MAX_ITER} iterations "
         f"(best gap {best.gap:.3e}, residuals {best.primal_residual:.3e}/"
         f"{best.dual_residual:.3e})",
-        cone.solution(best),
+        best,
     )
 
 
-def _condition_a(y1: np.ndarray, y2: np.ndarray):
-    """The condition-A transform on trusted Hermitian arrays."""
-    return _eye(y1.shape[0]) - y1, y2
+def _condition_a(cone, y1: np.ndarray, y2: np.ndarray):
+    """The condition-A transform on trusted arrays in the cone's form."""
+    return cone.eye(y1.shape[0]) - y1, y2
 
 
 def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
@@ -596,18 +660,18 @@ def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
     (Y1 (x) I + I (x) Y2 >= P_X) holds iff (P_perp >= (I-Y1) (x) I - I (x) Y2),
     and applying the map twice returns the original pair.
     """
-    return _condition_a(linalg.hermitize(y1), linalg.hermitize(y2))
+    return _condition_a(_DenseCone, linalg.hermitize(y1), linalg.hermitize(y2))
 
 
-def _shift(y1: np.ndarray, y2: np.ndarray):
-    """The positivity shift on trusted Hermitian arrays, plus the operator
-    norm of the shifted pair: both are PSD, so it is the largest eigenvalue
-    less lam, read off the same two spectra. A construction step, not a
-    check, so its spectra come from LAPACK (ascending)."""
-    w1, w2 = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(y2)
-    lam = min(float(w1[0]), float(w2[0]))
-    norm = max(float(w1[-1]), float(w2[-1])) - lam
-    return y1 - lam * _eye(y1.shape[0]), y2 - lam * _eye(y2.shape[0]), lam, norm
+def _shift(cone, y1: np.ndarray, y2: np.ndarray):
+    """The positivity shift on trusted arrays in the cone's form, plus the
+    operator norm of the shifted pair: both are PSD, so it is the largest
+    eigenvalue less lam, read off the same spectral bounds. A construction
+    step, not a check, so on the dense cone its spectra come from LAPACK."""
+    (lo1, hi1), (lo2, hi2) = cone.bounds(y1), cone.bounds(y2)
+    lam = min(lo1, lo2)
+    norm = max(hi1, hi2) - lam
+    return y1 - lam * cone.eye(y1.shape[0]), y2 - lam * cone.eye(y2.shape[0]), lam, norm
 
 
 def shift_positive(y1: np.ndarray, y2: np.ndarray):
@@ -617,14 +681,13 @@ def shift_positive(y1: np.ndarray, y2: np.ndarray):
     Y1 (x) I - I (x) Y2 is unchanged, so the separating inequality is
     preserved exactly; with equal traces the expectation margin is too.
     """
-    return _shift(linalg.hermitize(y1), linalg.hermitize(y2))[:3]
+    return _shift(_DenseCone, linalg.hermitize(y1), linalg.hermitize(y2))[:3]
 
 
-def _margin(y1: np.ndarray, y2: np.ndarray, problem: CouplingProblem) -> float:
-    """Trace gap tr(rho1 Y1) - tr(rho2 Y2) of a trusted Hermitian pair."""
-    return float(
-        np.vdot(y1, problem.rho1.mat).real - np.vdot(y2, problem.rho2.mat).real
-    )
+def _margin(y1: np.ndarray, y2: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
+    """Trace gap tr(rho1 Y1) - tr(rho2 Y2) of a trusted pair, with the
+    marginals b1, b2 in the pair's form (matrices, or diagonals)."""
+    return float(np.vdot(y1, b1).real - np.vdot(y2, b2).real)
 
 
 def verify_dual_certificate(
@@ -652,11 +715,12 @@ def _verify(y1: np.ndarray, y2: np.ndarray, problem: CouplingProblem, tol: float
     """The certificate test on a trusted Hermitian pair of the problem's
     dimensions; the difference is formed by broadcasting, as Y1 (x) I + I (x) (-Y2)."""
     diff = linalg.herm(problem.subspace.perp - _phi_star(y1, -y2))
-    return linalg._is_psd(diff, tol) and _margin(y1, y2, problem) > tol
+    return linalg._is_psd(diff, tol) and _margin(y1, y2, problem.rho1.mat, problem.rho2.mat) > tol
 
 
-def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
-    """Complete a lifted dual pair to a strictly feasible full-space one.
+def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
+    """Complete a lifted dual pair, in the cone's form with the supports v1,
+    v2 of the marginals, to a strictly feasible full-space one.
 
     The solve keeps Z positive definite with phi*(y) - A = Z - R_d on the
     support block, so that block's slack is at least -dual_residual. The
@@ -678,30 +742,31 @@ def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
             sol,
         )
     y1, y2 = sol.dual_y1, sol.dual_y2
-    big = 1.0 + max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2)) + 2.0 / eta_eff
-    p1 = v1 @ v1.conj().T
-    p2 = v2 @ v2.conj().T
-    y1 = linalg.herm(y1 + eta * p1 + big * (_eye(y1.shape[0]) - p1))
-    y2 = linalg.herm(y2 + big * (_eye(y2.shape[0]) - p2))
+    big = 1.0 + max(cone.norm(y1), cone.norm(y2)) + 2.0 / eta_eff
+    p1, p2 = cone.projector(v1), cone.projector(v2)
+    y1 = cone.sym(y1 + eta * p1 + big * (cone.eye(y1.shape[0]) - p1))
+    y2 = cone.sym(y2 + big * (cone.eye(y2.shape[0]) - p2))
     return y1, y2
 
 
 def _refute(
-    sol: SdpSolution, problem: CouplingProblem, t1: float, eps_decide: float, tol: float
+    cone, sol: SdpSolution, problem: CouplingProblem, t1: float, eps_decide: float, tol: float
 ) -> LiftingVerdict:
     """The NotExists verdict carried by sol's dual, once its certificate
     verifies at tol; SolverFailure (carrying sol) otherwise. The certificate
-    is built in one pass over trusted arrays: completed, condition-A
-    transformed, shifted to PSD, and rescaled to operator norm 1 when its
-    scaled trace gap still exceeds both eps_decide and tol."""
-    v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
+    is built in one pass over trusted arrays in the cone's form: completed,
+    condition-A transformed, shifted to PSD, and rescaled to operator norm 1
+    when its scaled trace gap still exceeds both eps_decide and tol. Only
+    then does it become a pair of matrices, verified against the problem."""
+    _, b1, b2, v1, v2 = cone.inputs(problem)
     try:
-        y1, y2 = _condition_a(*_complete_dual(sol, v1, v2, t1))
-        y1, y2, _, norm = _shift(y1, y2)
+        y1, y2 = _condition_a(cone, *_complete_dual(cone, sol, v1, v2, t1))
+        y1, y2, _, norm = _shift(cone, y1, y2)
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
-    if norm > 1.0 and _margin(y1, y2, problem) / norm > max(eps_decide, tol):
+    if norm > 1.0 and _margin(y1, y2, b1, b2) / norm > max(eps_decide, tol):
         y1, y2 = y1 / norm, y2 / norm
+    y1, y2 = cone.matrix(y1), cone.matrix(y2)
     if not _verify(y1, y2, problem, tol):
         raise SolverFailure("dual certificate failed verification at 10*eps_solve", sol)
     return LiftingVerdict(False, None, (y1, y2), sol.stats())
@@ -753,22 +818,24 @@ def check_quantum_lifting(
 
     target = t1 - eps_decide
     sol = solve_coupling_sdp(problem, eps_solve, dual_target=target)
+    cone = _cone(problem)
     tol = 10.0 * eps_solve
     # an early stop's primal iterate need not be feasible
     refuted = sol.dual_residual <= eps_solve and sol.dual_value < target
     if refuted or t1 - sol.primal_value > eps_decide:
-        return _refute(sol, problem, t1, eps_decide, tol)
+        return _refute(cone, sol, problem, t1, eps_decide, tol)
     # every iterate is positive definite (each step stops at _BOUNDARY of the
     # distance to the PSD boundary), the lift is a congruence by an isometry
-    # and left it exactly Hermitian, and a positive real scale keeps both
+    # (or a scatter into zeros) that left it exactly Hermitian, and a
+    # positive real scale keeps both
     x = sol.primal_x
-    witness = DensityOperator._trusted(x * (t1 / float(np.trace(x).real)))
+    witness = DensityOperator._trusted(cone.matrix(x * (t1 / cone.trace(x))))
     if quantum.is_lifting_witness(witness, problem, tol):
         return LiftingVerdict(True, witness, None, sol.stats())
     # within eps_decide of the threshold the dual may still prove that no
     # coupling exists; a certificate that verifies decides
     try:
-        return _refute(sol, problem, t1, eps_decide, tol)
+        return _refute(cone, sol, problem, t1, eps_decide, tol)
     except SolverFailure:
         raise SolverFailure(
             "witness cleanup pushed residuals beyond 10*eps_solve", sol

@@ -1,11 +1,11 @@
-"""Shared random generators for the test suite, plus one solver probe. Every
+"""Shared random generators for the test suite, plus two solver probes. Every
 generator takes an explicit numpy Generator so each test pins its own seed."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from qcoupling import DensityOperator, Relation, Subspace, sdp
+from qcoupling import DensityOperator, Relation, Subspace, linalg, sdp
 
 
 def rand_hermitian(rng, d, scale=1.0):
@@ -68,3 +68,15 @@ def record_cones(monkeypatch):
 
     monkeypatch.setattr(sdp, "_solve_core", recording)
     return cones
+
+
+def record_eigen_calls(monkeypatch):
+    """The orders of the matrices passed to linalg._eigh and to
+    linalg._is_psd, each list in call order, from now on."""
+    eighs, psds = [], []
+    eigh, is_psd = linalg._eigh, linalg._is_psd
+    monkeypatch.setattr(linalg, "_eigh", lambda h: eighs.append(h.shape[0]) or eigh(h))
+    monkeypatch.setattr(
+        linalg, "_is_psd", lambda h, tol: psds.append(h.shape[0]) or is_psd(h, tol)
+    )
+    return eighs, psds

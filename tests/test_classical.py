@@ -187,6 +187,52 @@ def test_maxflow_matches_subset_scan_on_rectangular_shapes(exact):
                         assert sum(mu1[i] for i in v.violating) > sum(mu2[j] for j in img)
 
 
+def _rational_maxflow(mu1, mu2, rel):
+    """Edmonds-Karp on the Fraction network itself, unscaled: the witness
+    (or None) and the violating set (or None), for reference."""
+    m, n = rel.m, rel.n
+    infinite, zero = sum(mu1) + 1, Fr(0)
+    cap = [{} for _ in range(m + n + 2)]
+
+    def add_edge(u, v, c):
+        cap[u][v], cap[v][u] = c, zero
+
+    for i in range(m):
+        add_edge(m + n, i, mu1[i] + zero)
+    for j in range(n):
+        add_edge(m + j, m + n + 1, mu2[j] + zero)
+    for i, j in sorted(rel.pairs):
+        add_edge(i, m + j, infinite)
+    flow, reached = classical._edmonds_karp(cap, m + n, m + n + 1, zero)
+    if flow == sum(mu1):
+        sent = lambda i, j: infinite - cap[i][m + j] if (i, j) in rel.pairs else zero
+        return tuple(tuple(sent(i, j) for j in range(n)) for i in range(m)), None
+    return None, frozenset(i for i in range(m) if i in reached)
+
+
+def test_integer_maxflow_matches_the_rational_network():
+    """Exact weights run on integers scaled by their common denominator. On
+    every [2]x[2] relation and on seeded [3]x[3] instances the verdict
+    matches the exhaustive scan, a witness has exactly the marginals, and the
+    witness and violating set are those of the Fraction network itself."""
+    rng = np.random.default_rng(43)
+    cases = [(rel, *rand_matched_rationals(rng, 2, 2)) for rel in all_relations(2, 2)
+             for _ in range(12)]
+    cases += [(rand_relation(rng, 3, 3), *rand_matched_rationals(rng, 3, 3, 60))
+              for _ in range(300)]
+    cases += [(rel, [1, 0], [0, 1]) for rel in all_relations(2, 2)]
+    seen = set()
+    for rel, mu1, mu2 in cases:
+        v = classical.check_lifting_maxflow(mu1, mu2, rel)
+        assert v.exists == (classical.check_strassen_exhaustive(mu1, mu2, rel) is None)
+        assert (v.witness, v.violating) == _rational_maxflow(mu1, mu2, rel)
+        if v.exists:
+            assert all(type(w) is Fr for row in v.witness for w in row)
+            assert classical.is_lifting_witness_classical(v.witness, mu1, mu2, rel, 0)
+        seen.add(v.exists)
+    assert seen == {True, False}
+
+
 def test_exact_violating_margin_is_rational():
     mu1 = [Fr(3, 7), Fr(4, 7)]
     mu2 = [Fr(4, 7), Fr(3, 7)]

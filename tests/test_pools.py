@@ -17,7 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
-from helpers import record_cones  # noqa: E402
+from helpers import record_cones, record_eigen_calls  # noqa: E402
 from qcoupling import sdp  # noqa: E402
 
 SEED = 1
@@ -36,39 +36,45 @@ def test_every_pool_input_decides_and_passes_the_gate(name, tmp_path):
 
 
 def _cones_per_input(name, tmp_path, monkeypatch):
-    """Each seed-1 pool input of the workload with the cones its op solved on."""
+    """Each seed-1 pool input of the workload with its op's status and the
+    cones the op solved on."""
     cones = record_cones(monkeypatch)
     workload = workloads.WORKLOADS[name](str(tmp_path))
     pool = workload.make_pool(np.random.default_rng(SEED))
     workload.write_inputs(pool)
     for inst in pool:
         cones.clear()
-        workload.run_op(inst)
-        yield inst, [(type(c), c.d1 * c.d2) for c in cones]
+        status, _ = workload.run_op(inst)
+        yield inst, status, [(type(c), c.d1 * c.d2) for c in cones]
 
 
 def test_embedded_instances_solve_on_the_diagonal_cone(tmp_path, monkeypatch):
-    # a Theorem-2 instance compresses to diagonal data: an LP with D 1x1 blocks;
-    # only the zero state is decided without a solve
+    # a Theorem-2 instance is exactly diagonal: an LP with D 1x1 blocks, decided
+    # on vectors with no eigendecomposition, whose only PSD test verifies a
+    # NotExists certificate (D = 9); only the zero state is decided without a
+    # solve
+    eighs, psds = record_eigen_calls(monkeypatch)
     solved = 0
-    for inst, cones in _cones_per_input("embedded3x3", tmp_path, monkeypatch):
+    for inst, status, cones in _cones_per_input("embedded3x3", tmp_path, monkeypatch):
         want = [sdp._DiagonalCone] if sum(inst.data[0]) > 0 else []
         assert [kind for kind, _ in cones] == want
+        assert eighs == [] and psds == ([] if status == "exists" else [9])
+        psds.clear()
         solved += len(cones)
     assert solved == 927
 
 
 def test_dense_inputs_keep_the_dense_cone(tmp_path, monkeypatch):
-    for _, cones in _cones_per_input("dense6", tmp_path, monkeypatch):
+    for _, _, cones in _cones_per_input("dense6", tmp_path, monkeypatch):
         assert [kind for kind, _ in cones] == [sdp._DenseCone]
 
 
-def test_degenerate_inputs_take_the_diagonal_cone_exactly_at_d_one(tmp_path, monkeypatch):
-    # a random subspace compresses to dense data unless both marginals have
-    # rank one, when the compressed problem is 1 x 1
-    sizes = {sdp._DiagonalCone: [], sdp._DenseCone: []}
-    for _, cones in _cones_per_input("cli_degenerate3", tmp_path, monkeypatch):
-        for kind, d in cones:
-            sizes[kind].append(d)
-    assert sizes[sdp._DiagonalCone] and set(sizes[sdp._DiagonalCone]) == {1}
-    assert sizes[sdp._DenseCone] and 1 not in sizes[sdp._DenseCone]
+def test_degenerate_inputs_keep_the_dense_cone_even_at_d_one(tmp_path, monkeypatch):
+    # the cone is chosen from the input, and a random subspace is never
+    # exactly diagonal: inputs whose marginals both have rank one compress
+    # to a 1 x 1 problem and still run on the dense cone
+    sizes = []
+    for _, _, cones in _cones_per_input("cli_degenerate3", tmp_path, monkeypatch):
+        assert [kind for kind, _ in cones] == [sdp._DenseCone]
+        sizes += [d for _, d in cones]
+    assert 1 in sizes and max(sizes) > 1

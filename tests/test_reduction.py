@@ -47,6 +47,22 @@ def test_embed_relation_exact_projectors():
     assert np.trace(one.projector) == 1.0
 
 
+def test_embedded_relations_pass_the_validating_constructor():
+    """embed_relation builds its projector unchecked; on every relation on
+    [2] x [2] and [1] x [3] it is what the validating constructor accepts,
+    read-only, and the problem it makes is exactly diagonal."""
+    half = reduction.embed_distribution(HALF)
+    relations = [*all_relations(2, 2), *all_relations(1, 3)]
+    for rel in relations:
+        sub = reduction.embed_relation(rel)
+        checked = linalg.Subspace(sub.ambient_dim, sub.projector)
+        assert checked.ambient_dim == sub.ambient_dim == rel.m * rel.n
+        assert np.array_equal(checked.projector, sub.projector)
+        assert sub.projector.dtype == np.complex128 and not sub.projector.flags.writeable
+        if rel.m == 2:
+            assert CouplingProblem(half, half, sub).diagonal
+
+
 def test_embed_joint_marginals_and_witness_transfer():
     mu_id = [[Fr(1, 2), Fr(0)], [Fr(0), Fr(1, 2)]]
     rho = reduction.embed_joint(mu_id)

@@ -18,6 +18,7 @@ from helpers import (
     rand_subspace,
     rand_unitary,
     record_cones,
+    record_eigen_calls,
 )
 
 
@@ -200,7 +201,8 @@ def test_solver_failure_carries_best_iterate(monkeypatch):
     best = err.value.best
     assert best is not None
     assert best.iterations <= 2
-    assert best.primal_x.shape == (4, 4)
+    # an exactly diagonal problem: the iterate is held as its diagonals
+    assert [m.shape for m in (best.primal_x, best.dual_y1, best.dual_y2)] == [(4,), (2,), (2,)]
 
 
 def _near_singular(rng, d, eps):
@@ -366,7 +368,7 @@ def _public_certificate(sol, problem):
     rescale's operator norm taken by SVD."""
     t1 = problem.rho1.trace
     v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
-    y1, y2 = sdp._complete_dual(sol, v1, v2, t1)
+    y1, y2 = sdp._complete_dual(sdp._DenseCone, sol, v1, v2, t1)
     y1, y2 = sdp.condition_a_transform(y1, y2)
     y1, y2, _ = sdp.shift_positive(y1, y2)
     norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))
@@ -632,22 +634,23 @@ def _rank_one_problem():
     return CouplingProblem(rho, rho, Subspace.full(9))
 
 
-@pytest.mark.parametrize("make, full_rank, exists", [
+@pytest.mark.parametrize("make, full_rank, exists, diagonal", [
     (lambda: CouplingProblem(quantum.uniform_density(2), quantum.uniform_density(2),
-                             Subspace.from_span([_bell_vec(2)])), True, True),
+                             Subspace.from_span([_bell_vec(2)])), True, True, False),
     (lambda: CouplingProblem(quantum.uniform_density(2), quantum.uniform_density(2),
-                             Subspace.from_span([np.eye(4)[0]])), True, False),
-    (_rank_one_problem, False, True),
-    (point_problem, False, False),
+                             Subspace.from_span([np.eye(4)[0]])), True, False, True),
+    (_rank_one_problem, False, True, False),
+    (point_problem, False, False, True),
 ], ids=["full-rank-exists", "full-rank-not-exists", "rank-deficient-exists",
         "rank-deficient-not-exists"])
 def test_check_lifting_solves_through_the_module_attribute_once(
-    monkeypatch, make, full_rank, exists
+    monkeypatch, make, full_rank, exists, diagonal
 ):
     """check_quantum_lifting reaches the solver through the attribute
     sdp.solve_coupling_sdp, once per nonzero decision, so wrapping that
-    attribute sees (and can time) every solve; each state's support comes
-    from one eigendecomposition, shared by the solve and the certificate."""
+    attribute sees (and can time) every solve; on the dense cone each
+    state's support comes from one eigendecomposition, shared by the solve
+    and the certificate, and an exactly diagonal problem makes none."""
     calls = []
     solve = sdp.solve_coupling_sdp
     eighs = []
@@ -666,24 +669,40 @@ def test_check_lifting_solves_through_the_module_attribute_once(
     problem = make()
     ranks = [np.linalg.matrix_rank(r.mat) for r in (problem.rho1, problem.rho2)]
     assert (ranks == list(problem.dims)) == full_rank
+    assert problem.diagonal == diagonal
+    want = 0 if diagonal else len({id(problem.rho1), id(problem.rho2)})
     verdict = sdp.check_quantum_lifting(problem)
     assert verdict.exists == exists
     assert len(calls) == 1 and verdict.diagnostics == calls[0].stats()
-    assert len(eighs) == len({id(problem.rho1), id(problem.rho2)})
+    assert len(eighs) == want
     zero = DensityOperator(np.zeros((2, 2)))
     sdp.check_quantum_lifting(CouplingProblem(zero, zero, Subspace.full(4)))
     assert len(calls) == 1  # the zero state is decided without a solve
-    assert len(eighs) == len({id(problem.rho1), id(problem.rho2)})
+    assert len(eighs) == want
 
 
 def _lapack_breaks(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 
 
+def _rotated_point_problem():
+    """point_problem under H (x) H: |+><+| and |-><-| inside span{|++>}, no
+    coupling fits, and the input is dense, so the certificate is built with
+    LAPACK."""
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    return CouplingProblem(
+        DensityOperator(np.outer(plus, plus)),
+        DensityOperator(np.outer(minus, minus)),
+        Subspace.from_span([np.kron(plus, plus)]),
+    )
+
+
 def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
     """A LAPACK failure after the solve, while the dual is completed and
     rescaled into a certificate (spectral norms), is a SolverFailure
     carrying the solution."""
+    problem = _rotated_point_problem()
+    assert not problem.diagonal
     solve = sdp.solve_coupling_sdp
 
     def solve_then_break(*args, **kwargs):
@@ -693,13 +712,15 @@ def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve_coupling_sdp", solve_then_break)
     with pytest.raises(SolverFailure) as info:
-        sdp.check_quantum_lifting(point_problem())
+        sdp.check_quantum_lifting(problem)
     assert info.value.best is not None
 
 
 def test_shift_lapack_failure_is_a_solver_failure(monkeypatch):
     """The positivity shift reads LAPACK spectra of the d x d certificate
     pair; a LinAlgError there is a SolverFailure carrying the solution."""
+    problem = _rotated_point_problem()
+    assert sdp.check_quantum_lifting(problem).exists is False
     eigvalsh = np.linalg.eigvalsh
 
     def breaking_on_d_by_d(h, *args, **kwargs):
@@ -709,7 +730,7 @@ def test_shift_lapack_failure_is_a_solver_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", breaking_on_d_by_d)
     with pytest.raises(SolverFailure, match="certificate linear algebra") as info:
-        sdp.check_quantum_lifting(point_problem())
+        sdp.check_quantum_lifting(problem)
     assert info.value.best is not None
 
 
@@ -795,7 +816,7 @@ def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per
     assert [type(c) for c in cones] == [cone, cone]
     best = info.value.best
     assert best.iterations < k
-    assert best.primal_x.shape == (9, 9)
+    assert best.primal_x.shape == ((9, 9) if cone is sdp._DenseCone else (9,))
 
 
 def test_full_rank_certificates_are_strictly_feasible():
@@ -824,17 +845,23 @@ def test_full_rank_certificates_are_strictly_feasible():
 
 def test_completion_refuses_a_margin_the_dual_residual_can_eat():
     """A margin of at most 4 * dual_residual leaves no provable slack, so the
-    completion raises SolverFailure carrying the solution it was given."""
+    completion raises SolverFailure carrying the solution it was given, on
+    either cone."""
     d = 2
+    numbers = (0.0, 0.9, 0.9, 0.0, 0.025, 7)
     eye = np.eye(d, dtype=np.complex128)
-    sol = sdp.SdpSolution(
-        np.eye(d * d) / (d * d), 0.45 * eye, 0.45 * eye,
-        0.0, 0.9, 0.9, 0.0, 0.025, 7,
-    )
-    assert 1.0 - sol.dual_value <= 4.0 * sol.dual_residual
-    with pytest.raises(SolverFailure, match="margin") as info:
-        sdp._complete_dual(sol, eye, eye, 1.0)
-    assert info.value.best is sol
+    dense = sdp.SdpSolution(np.eye(d * d) / (d * d), 0.45 * eye, 0.45 * eye, *numbers)
+    y = np.full(d, 0.45)
+    diagonal = sdp.SdpSolution(np.full(d * d, 1.0 / (d * d)), y, y, *numbers)
+    full_support = np.ones(d, dtype=bool)
+    for cone, sol, support in (
+        (sdp._DenseCone, dense, eye),
+        (sdp._DiagonalCone, diagonal, full_support),
+    ):
+        assert 1.0 - sol.dual_value <= 4.0 * sol.dual_residual
+        with pytest.raises(SolverFailure, match="margin") as info:
+            sdp._complete_dual(cone, sol, support, support, 1.0)
+        assert info.value.best is sol
 
 
 # ---------------------------------------------------------------------------
@@ -855,18 +882,33 @@ def _theorem2_problems(rng, count):
         )
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 20])
 def test_bell_demo_solves_on_the_diagonal_cone(monkeypatch, capsys, d):
+    """demo bell decides on the LP with no eigendecomposition at all, and its
+    decision (an Exists) makes no PSD test: the witness is a state by
+    construction."""
     cones = record_cones(monkeypatch)
+    eighs, psds = record_eigen_calls(monkeypatch)
+    decisions = []
+    check = sdp.check_quantum_lifting
+
+    def recording(*args):
+        before = len(psds)
+        verdict = check(*args)
+        decisions.append((verdict.exists, psds[before:]))
+        return verdict
+
+    monkeypatch.setattr(sdp, "check_quantum_lifting", recording)
     assert cli.run(["demo", "bell", "--dim", str(d)]) == 0
     assert json.loads(capsys.readouterr().out)["checker"]["verdict"] == "exists"
     assert [(type(c), c.d1, c.d2) for c in cones] == [(sdp._DiagonalCone, d, d)]
+    assert eighs == [] and decisions == [(True, [])]
 
 
 def test_dense_cone_is_the_reference_for_the_diagonal_cone(monkeypatch):
-    """On the same compressed diagonal data the LP and the dense solve reach
-    the same decision within one iteration, and converge to the same
-    values."""
+    """On the same compressed diagonal data, as vectors for the LP and as
+    their diagonal matrices for the dense solve, the two reach the same
+    decision within one iteration, and converge to the same values."""
     core = sdp._solve_core
     cores = []
     monkeypatch.setattr(sdp, "_solve_core", lambda *args: cores.append(args) or core(*args))
@@ -880,13 +922,13 @@ def test_dense_cone_is_the_reference_for_the_diagonal_cone(monkeypatch):
         cores.clear()
         target = problem.rho1.trace - sdp.EPS_DECIDE
         sdp.solve_coupling_sdp(problem, dual_target=target)
-        ((cone, a, b1, b2, eps, _),) = cores
+        ((cone, *data, eps, _),) = cores
         assert type(cone) is sdp._DiagonalCone
+        assert all(v.ndim == 1 for v in data)
+        matrices = [np.diag(v.astype(np.complex128)) for v in data]
         for stop in (target, None):
-            dense, lp = (
-                core(kind(cone.d1, cone.d2), a, b1, b2, eps, stop)
-                for kind in (sdp._DenseCone, sdp._DiagonalCone)
-            )
+            dense = core(sdp._DenseCone(cone.d1, cone.d2), *matrices, eps, stop)
+            lp = core(sdp._DiagonalCone(cone.d1, cone.d2), *data, eps, stop)
             assert abs(dense.iterations - lp.iterations) <= 1
             if stop is None:
                 assert lp.primal_value == pytest.approx(dense.primal_value, abs=1e-7)
@@ -912,12 +954,10 @@ def _proof_verifies(verdict, problem):
 
 
 def test_round_off_off_diagonal_keeps_the_dense_cone_and_the_verdict(monkeypatch):
-    """Only exact zeros select the LP: a projector entry of 1e-17 between two
-    product-support directions reaches the compressed A as an off-diagonal
-    entry and keeps the dense cone, and the verdict and the re-verification
-    of its proof object stay. A marginal nudged the same way may be
-    diagonalized exactly by its own eigenbasis, so only its verdict is
-    pinned."""
+    """Only exact zeros select the LP, and the cone is chosen from the input:
+    a projector entry of 1e-17 between two product-support directions, or a
+    marginal nudged the same way, keeps the dense cone, and the verdict and
+    the re-verification of its proof object stay."""
     cones = record_cones(monkeypatch)
     seen = set()
     for problem in _theorem2_problems(np.random.default_rng(77), 12):
@@ -935,6 +975,8 @@ def test_round_off_off_diagonal_keeps_the_dense_cone_and_the_verdict(monkeypatch
         on1 = np.flatnonzero(np.diagonal(rho1.mat))
         if on1.size >= 2:
             case = CouplingProblem(DensityOperator(_nudged(rho1.mat, *on1[:2])), rho2, sub)
+            cones.clear()
             verdict = sdp.check_quantum_lifting(case)
+            assert [type(c) for c in cones] == [sdp._DenseCone]
             assert verdict.exists == want and _proof_verifies(verdict, case)
     assert seen == {True, False}

@@ -6,12 +6,14 @@
 Imports the library from ``DIR/src`` and the workloads from
 ``DIR/bench/workloads.py``, writing nothing under DIR, and decides every
 input of every workload's pool at each seed through the workload's own op.
-It prints one line per workload: the number of inputs and the SHA-256 of
-their outcomes. An outcome is the op's status plus its result: the proof
-object of a lifting verdict, the emitted and re-verified JSON of a CLI op,
-the report of a cross-check. Two checkouts that print the same digests gave
-every input the same verdict and bit-identical proof objects. Run it once
-per checkout, each in its own process. BLAS/OpenMP threads are pinned to 1
+It prints one line per workload: the number of inputs, the SHA-256 of
+their outcomes and the SHA-256 of their statuses alone. An outcome is the
+op's status plus its result: the proof object of a lifting verdict, the
+emitted and re-verified JSON of a CLI op, the report of a cross-check. Two
+checkouts that print the same outcome digest gave every input the same
+verdict and bit-identical proof objects; the same statuses digest, the
+same verdict (or the same typed failure) on every input, whatever the bits
+of the proof objects. Run it once per checkout, each in its own process. BLAS/OpenMP threads are pinned to 1
 before numpy is imported, as in ``bench/run.py``.
 """
 
@@ -60,8 +62,9 @@ def _outcome(status: str, payload):
     return payload
 
 
-def digest(workloads, name: str, seeds) -> tuple[int, str]:
-    h = hashlib.sha256()
+def digest(workloads, name: str, seeds) -> tuple[int, str, str]:
+    """The input count and the outcome and statuses digests of one workload."""
+    h, statuses = hashlib.sha256(), hashlib.sha256()
     count = 0
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
@@ -72,8 +75,9 @@ def digest(workloads, name: str, seeds) -> tuple[int, str]:
                 status, payload = wl.run_op(inst)
                 h.update(status.encode())
                 _feed(h, _outcome(status, payload))
+                statuses.update(f"{status}\n".encode())
                 count += 1
-    return count, h.hexdigest()
+    return count, h.hexdigest(), statuses.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -88,8 +92,8 @@ def main(argv=None) -> int:
 
     print(f"root {root}, seeds {' '.join(map(str, args.seeds))}")
     for name in workloads.WORKLOADS:
-        count, hexdigest = digest(workloads, name, args.seeds)
-        print(f"{name}: {count} inputs, sha256 {hexdigest}")
+        count, outcomes, statuses = digest(workloads, name, args.seeds)
+        print(f"{name}: {count} inputs, sha256 {outcomes}, statuses sha256 {statuses}")
     return 0
 
 
