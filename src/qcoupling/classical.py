@@ -8,7 +8,9 @@ left index set, and is decided here by max-flow (Edmonds-Karp) with the
 exhaustive subset scan kept as the brute-force oracle.
 
 Weights may be floats or fractions.Fraction; all routines are written so
-that rational inputs stay rational, making the oracle path exact.
+that rational inputs stay rational, making the oracle path exact. Max-flow
+runs both exactly, a float as the dyadic rational it is, on one integer
+network; floats only keep a 1e-9 slack on the totals and get float witnesses.
 """
 
 from __future__ import annotations
@@ -23,18 +25,25 @@ from .errors import InputError, check_threshold
 WEIGHT_SLACK = 1e-12
 WITNESS_TOL = 1e-9
 SUM_TOL = 1e-12
-_FLOW_CUTOFF = 1e-12
+# the float slack 1e-9 on totals as its exact ratio, compared in integers
+_TOTAL_SLACK = (1e-9).as_integer_ratio()
+
+
+def _check_entries(values, what: str) -> list:
+    """The one rule for weights and observables: finite and non-negative."""
+    out = list(values)
+    for v in out:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"{what} has a non-finite entry")
+        if v < 0:
+            raise InputError(f"{what} has a negative entry {v}")
+    return out
 
 
 def _check_weights(weights, what: str) -> list:
-    out = list(weights)
+    out = _check_entries(weights, what)
     if not out:
         raise InputError(f"{what} must carry at least one weight")
-    for w in out:
-        if isinstance(w, float) and not (w == w and abs(w) != float("inf")):
-            raise InputError(f"{what} has a non-finite weight")
-        if w < 0:
-            raise InputError(f"{what} has a negative weight {w}")
     if sum(out) > 1 + WEIGHT_SLACK:
         raise InputError(f"{what} has total mass above 1")
     return out
@@ -171,18 +180,18 @@ def check_strassen_exhaustive(mu1, mu2, relation: Relation):
     return None
 
 
-def _edmonds_karp(cap, source, sink, cutoff):
+def _edmonds_karp(cap, source, sink):
     """Edmonds-Karp max-flow on residual capacities cap[u][v], updated in
-    place; an edge at or below cutoff counts as saturated, and neighbours are
-    scanned in insertion order. Returns the flow and the vertices the last,
-    failing search reached: the source side of a minimum cut."""
+    place; neighbours are scanned in insertion order. Returns the flow and
+    the vertices the last, failing search reached: the source side of a
+    minimum cut."""
     flow = 0
     while True:
         parent = {source: None}
         queue = [source]
         for u in queue:
             for v, c in cap[u].items():
-                if c > cutoff and v not in parent:
+                if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
             if sink in parent:
@@ -222,74 +231,60 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     the min cut: infinite edges never cross it, so the cut capacity is
     mu1(complement of S) + mu2(R(S)) < |mu1|.
 
-    Rational weights (int/Fraction) are processed exactly and must have
-    equal totals: the network runs on integers, every capacity scaled by the
-    weights' common denominator, which keeps every comparison and so the
-    augmenting paths, and only the witness turns back into Fractions.
-    Floats may differ in total by 1e-9 and use an augmentation cutoff of
-    1e-12 * |mu1|.
+    Every weight runs exactly: it becomes an integer over the weights'
+    common denominator (a float through its exact ratio, as the dyadic
+    rational it is), so floats and fractions share one integer network,
+    every comparison and so every augmenting path. Exact weights must have
+    equal totals and saturate exactly; floats may differ in total, and fall
+    short of saturation, by 1e-9 (relative to |mu1| above 1). The witness
+    comes back as Fractions for exact weights and as floats otherwise.
     """
     mu1 = check_subdistribution(mu1)
     mu2 = check_subdistribution(mu2)
     m, n = relation.m, relation.n
     if len(mu1) != m or len(mu2) != n:
         raise InputError("distribution sizes do not match the relation")
-    t1, t2 = sum(mu1), sum(mu2)
     exact = is_exact(mu1, mu2)
-    if abs(t1 - t2) > (0 if exact else 1e-9):
+    ratios = [(w.numerator, w.denominator) if isinstance(w, Rational)
+              else float(w).as_integer_ratio() for w in mu1 + mu2]
+    scale = math.lcm(*(q for _, q in ratios))
+    caps = [p * (scale // q) for p, q in ratios]
+    value = (lambda c: Fraction(c, scale)) if exact else (lambda c: c / scale)
+    t1, t2 = sum(caps[:m]), sum(caps[m:])
+    num, den = (0, 1) if exact else _TOTAL_SLACK
+    if abs(t1 - t2) * den > num * scale:
         raise InputError(
-            f"total weights differ (|mu1| = {t1}, |mu2| = {t2}); no coupling can exist"
+            f"total weights differ (|mu1| = {value(t1)}, |mu2| = {value(t2)}); "
+            "no coupling can exist"
         )
-    zero = Fraction(0) if exact else 0.0
-    if t1 <= (0 if exact else WEIGHT_SLACK):
-        witness = tuple(tuple(zero for _ in range(n)) for _ in range(m))
-        return ClassicalVerdict(True, witness, None)
 
-    if exact:
-        scale = math.lcm(*(w.denominator for w in mu1 + mu2))
-        capacity = lambda w: w.numerator * (scale // w.denominator)
-    else:
-        capacity = lambda w: w + 0.0
     source, sink = m + n, m + n + 1
-    infinite = capacity(t1 + 1)
+    infinite = t1 + 1
     cap = [{} for _ in range(m + n + 2)]
 
     def add_edge(u, v, c):
         cap[u][v] = c
-        cap[v][u] = capacity(0)
+        cap[v][u] = 0
 
     for i in range(m):
-        add_edge(source, i, capacity(mu1[i]))
+        add_edge(source, i, caps[i])
     for j in range(n):
-        add_edge(m + j, sink, capacity(mu2[j]))
+        add_edge(m + j, sink, caps[m + j])
     for i, j in sorted(relation.pairs):
         add_edge(i, m + j, infinite)
-    cutoff = 0 if exact else _FLOW_CUTOFF * float(t1)
-    flow, reached = _edmonds_karp(cap, source, sink, cutoff)
+    flow, reached = _edmonds_karp(cap, source, sink)
 
-    saturated = flow == capacity(t1) if exact else t1 - flow <= 1e-9 * max(1.0, float(t1))
-    if saturated:
-        witness = [[zero] * n for _ in range(m)]
+    if (t1 - flow) * den <= num * max(scale, t1):
+        witness = [[value(0)] * n for _ in range(m)]
         for i, j in relation.pairs:
-            sent = infinite - cap[i][m + j]
-            witness[i][j] = Fraction(sent, scale) if exact else max(float(sent), 0.0)
+            witness[i][j] = value(infinite - cap[i][m + j])
         return ClassicalVerdict(True, tuple(tuple(r) for r in witness), None)
 
     violating = frozenset(i for i in range(m) if i in reached)
     image = relation_image(relation, violating)
     # min-cut guarantee; if this trips, the flow computation is wrong
-    assert sum(mu1[i] for i in violating) > sum(mu2[j] for j in image)
+    assert sum(caps[i] for i in violating) > sum(caps[m + j] for j in image)
     return ClassicalVerdict(False, None, violating)
-
-
-def _check_observable(y, what: str) -> list:
-    out = list(y)
-    for v in out:
-        if isinstance(v, float) and not (v == v and abs(v) != float("inf")):
-            raise InputError(f"{what} has a non-finite entry")
-        if v < 0:
-            raise InputError(f"{what} has a negative entry {v}")
-    return out
 
 
 def level_set_decomposition(y1) -> list:
@@ -300,7 +295,7 @@ def level_set_decomposition(y1) -> list:
     and lambda_k = t_k - t_{k-1}. Support sets strictly decrease and the
     sum reconstructs y1 exactly.
     """
-    y1 = _check_observable(y1, "observable")
+    y1 = _check_entries(y1, "observable")
     levels = sorted({v for v in y1 if v > 0})
     out = []
     prev = 0
@@ -319,7 +314,7 @@ def y2_min(y1, relation: Relation):
     (0 for columns with no related row), and any nonnegative Y2 satisfying
     Y2[j] >= Y1[i] on the relation dominates it entrywise.
     """
-    y1 = _check_observable(y1, "observable")
+    y1 = _check_entries(y1, "observable")
     if len(y1) != relation.m:
         raise InputError("observable size does not match the relation")
     out = [0] * relation.n
@@ -342,8 +337,8 @@ def check_statement_2prime(
     """
     mu1 = check_subdistribution(mu1)
     mu2 = check_subdistribution(mu2)
-    y1 = _check_observable(y1, "left observable")
-    y2 = _check_observable(y2, "right observable")
+    y1 = _check_entries(y1, "left observable")
+    y2 = _check_entries(y2, "right observable")
     if len(y1) != relation.m or len(y2) != relation.n:
         raise InputError("observable sizes do not match the relation")
     if len(mu1) != relation.m or len(mu2) != relation.n:

@@ -178,8 +178,9 @@ def coupling_identity_basis(
     basis defaults to LAPACK's eigenvectors of rho (``linalg._eigh``),
     whose choice within a degenerate eigenvalue is LAPACK's; another
     orthonormal eigenbasis may be passed in, and the resulting coupling
-    genuinely depends on that choice. The subspace spans the |ii> whose
-    weights p_i the support rule ``linalg.support_mask`` keeps.
+    genuinely depends on that choice. A basis that leaves rho off-diagonal
+    by more than 1e-9 (in norm) is bad input. The subspace spans the |ii>
+    whose weights p_i the support rule ``linalg.support_mask`` keeps.
     """
     if basis is None:
         weights, vectors = linalg._eigh(rho.mat)
@@ -189,9 +190,10 @@ def coupling_identity_basis(
             raise InputError("basis dimension does not match the state")
         if np.linalg.norm(vectors.conj().T @ vectors - np.eye(rho.dim)) > 1e-9:
             raise InputError("basis columns must be orthonormal")
-        weights = np.array(
-            [linalg.inner_product(np.outer(v, v.conj()), rho.mat) for v in vectors.T]
-        )
+        rotated = vectors.conj().T @ rho.mat @ vectors
+        weights = np.diagonal(rotated).real
+        if np.linalg.norm(rotated - np.diag(np.diagonal(rotated))) > 1e-9:
+            raise InputError("basis does not diagonalize the state")
     d = rho.dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     span = []

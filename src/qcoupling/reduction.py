@@ -39,7 +39,7 @@ class EmbeddingReport:
 
 
 def _diag(weights) -> np.ndarray:
-    return np.diag([float(w) for w in weights]).astype(np.complex128)
+    return np.diag(np.array(weights, dtype=np.float64)).astype(np.complex128)
 
 
 def embed_distribution(weights) -> DensityOperator:
@@ -61,7 +61,7 @@ def embed_relation(relation: Relation) -> linalg.Subspace:
 def embed_joint(joint) -> DensityOperator:
     """Diagonal operator on the product space with mu(i, j) at index i*n+j."""
     rows = classical.check_joint(joint)
-    return DensityOperator(_diag(w for r in rows for w in r))
+    return DensityOperator(_diag([w for r in rows for w in r]))
 
 
 def extract_joint(rho: DensityOperator, m: int, n: int) -> list[list[float]]:
@@ -97,22 +97,22 @@ def cross_check(
     and must verify classical-side at 10*eps_solve. A translation failure
     is a numerical failure, not a verdict. Max-flow validates the weights,
     so the diagonal states, the embedded witness among them, are built
-    unchecked.
+    unchecked, from the weights converted to floats once.
     """
     cv = classical.check_lifting_maxflow(mu1, mu2, relation)
+    flo1, flo2 = [float(w) for w in mu1], [float(w) for w in mu2]
     state = lambda weights: DensityOperator._trusted(_diag(weights))
-    problem = CouplingProblem(state(mu1), state(mu2), embed_relation(relation))
+    problem = CouplingProblem(state(flo1), state(flo2), embed_relation(relation))
     qv = sdp.check_quantum_lifting(problem, eps_solve, eps_decide)
 
     roundtrip = 0.0
     if cv.exists:
-        embedded = state(w for r in cv.witness for w in r)
+        embedded = state([w for r in cv.witness for w in r])
         roundtrip = max(quantum.marginal_deviation(embedded, problem.rho1, problem.rho2))
         if not quantum.is_lifting_witness(embedded, problem, 10.0 * eps_solve):
             raise NumericalError("embedded classical witness failed quantum verification")
     if qv.exists:
         joint = extract_joint(qv.witness, relation.m, relation.n)
-        flo1, flo2 = [float(w) for w in mu1], [float(w) for w in mu2]
         ext1, ext2 = classical._sums(joint)
         roundtrip = max([roundtrip] + [abs(a - b) for a, b in zip(ext1 + ext2, flo1 + flo2)])
         if not classical._is_witness(joint, flo1, flo2, relation, 10.0 * eps_solve):

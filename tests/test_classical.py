@@ -203,7 +203,7 @@ def _rational_maxflow(mu1, mu2, rel):
         add_edge(m + j, m + n + 1, mu2[j] + zero)
     for i, j in sorted(rel.pairs):
         add_edge(i, m + j, infinite)
-    flow, reached = classical._edmonds_karp(cap, m + n, m + n + 1, zero)
+    flow, reached = classical._edmonds_karp(cap, m + n, m + n + 1)
     if flow == sum(mu1):
         sent = lambda i, j: infinite - cap[i][m + j] if (i, j) in rel.pairs else zero
         return tuple(tuple(sent(i, j) for j in range(n)) for i in range(m)), None
@@ -338,3 +338,108 @@ def test_statement_2prime_via_y2_min_when_strassen_holds():
             y2 = [Fr(1 if j in img else 0) for j in range(3)]
             assert not classical.check_statement_2prime(mu1, mu2, rel, y1, y2)
         done += 1
+
+
+def _hall_deficit(mu1, mu2, rel):
+    """max over S of mu1(S) - mu2(R(S)), exactly (S = {} gives 0): the
+    maximum flow falls short of |mu1| by exactly this much."""
+    mu1, mu2 = [Fr(w) for w in mu1], [Fr(w) for w in mu2]
+    subsets = ({i for i in range(rel.m) if mask >> i & 1} for mask in range(1 << rel.m))
+    return max(
+        sum(mu1[i] for i in s) - sum(mu2[j] for j in classical.relation_image(rel, s))
+        for s in subsets
+    )
+
+
+def _verifies(v, mu1, mu2, rel):
+    """The proof object of v checks on its own problem: a witness within
+    the default tolerance (exactly for Fractions), or a set S with
+    mu1(S) > mu2(R(S)) exactly."""
+    if v.exists:
+        tol = 0 if classical.is_exact(mu1, mu2) else classical.WITNESS_TOL
+        return classical.is_lifting_witness_classical(v.witness, mu1, mu2, rel, tol)
+    img = classical.relation_image(rel, v.violating)
+    return sum(Fr(mu1[i]) for i in v.violating) > sum(Fr(mu2[j]) for j in img)
+
+
+def _float_sweep_cases(rng):
+    """Float weights in three families, each a third of the cases: totals
+    that differ by less than 1e-9; a subnormal weight 5e-324 beside 0.5;
+    and mass below 1e-12 * |mu1| moved between entries, so that some
+    Strassen margins lie under that size."""
+    for k in range(240):
+        m, n = (int(x) for x in rng.integers(2 if k % 3 == 1 else 1, 5, size=2))
+        rel = rand_relation(rng, m, n)
+        mu1, mu2 = ([float(w) for w in ws] for ws in rand_matched_rationals(rng, m, n))
+        if k % 3 == 0:
+            side = mu1 if rng.random() < 0.5 else mu2
+            i = int(rng.integers(len(side)))
+            side[i] -= min(side[i], float(rng.uniform(0, 0.9e-9)))
+        elif k % 3 == 1:
+            mu1, mu2 = (
+                [float(w) for w in rng.permutation([0.5, 5e-324] + [0.0] * (size - 2))]
+                for size in (m, n)
+            )
+        else:
+            for side in (mu1, mu2):
+                a, b = rng.integers(len(side), size=2)
+                delta = min(side[a], float(rng.uniform(0, 1e-12)) * sum(mu1))
+                side[a] -= delta
+                side[b] += delta
+        yield mu1, mu2, rel
+
+
+def test_float_weights_run_exactly_on_the_integer_network():
+    """Floats run as the dyadic rationals they are: the verdict is Exists
+    exactly when the maximum flow, |mu1| minus the exact Hall deficit, falls
+    short of |mu1| by at most 1e-9 (relative above 1); it agrees with the
+    exhaustive scan on the exact weights wherever the deficit is 0; every
+    witness is a float lifting and every violating set breaks Hall's
+    condition exactly. No scale, 2^1074 included, overflows."""
+    rng = np.random.default_rng(71)
+    seen = set()
+    for mu1, mu2, rel in _float_sweep_cases(rng):
+        v = classical.check_lifting_maxflow(mu1, mu2, rel)
+        deficit = _hall_deficit(mu1, mu2, rel)
+        slack = Fr(1e-9) * max(1, sum(Fr(w) for w in mu1))
+        assert v.exists == (deficit <= slack), (mu1, mu2, sorted(rel.pairs))
+        exact1, exact2 = [Fr(w) for w in mu1], [Fr(w) for w in mu2]
+        if deficit == 0 or deficit > slack:
+            oracle = classical.check_strassen_exhaustive(exact1, exact2, rel)
+            assert v.exists == (oracle is None)
+        assert _verifies(v, mu1, mu2, rel)
+        if v.exists:
+            assert all(type(w) is float for row in v.witness for w in row)
+        seen.add((v.exists, 0 < deficit <= slack))
+    assert seen == {(True, False), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_maxflow_verdict_is_invariant_under_swaps_and_permutations(exact):
+    """Swapping the sides (mu2, mu1, R transposed) and permuting either index
+    set keep the verdict, and each proof object verifies on its own problem."""
+    rng = np.random.default_rng(73)
+    seen = set()
+    for _ in range(120):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        rel = rand_relation(rng, m, n)
+        mu1, mu2 = rand_matched_rationals(rng, m, n)
+        if not exact:
+            mu1, mu2 = [float(w) for w in mu1], [float(w) for w in mu2]
+        p, q = rng.permutation(m), rng.permutation(n)
+        variants = [
+            (mu1, mu2, rel),
+            (mu2, mu1, Relation.from_pairs(n, m, [(j, i) for i, j in rel.pairs])),
+            ([mu1[p[i]] for i in range(m)], mu2,
+             Relation.from_pairs(m, n, [(int(np.argsort(p)[i]), j) for i, j in rel.pairs])),
+            (mu1, [mu2[q[j]] for j in range(n)],
+             Relation.from_pairs(m, n, [(i, int(np.argsort(q)[j])) for i, j in rel.pairs])),
+        ]
+        verdicts = set()
+        for w1, w2, r in variants:
+            v = classical.check_lifting_maxflow(w1, w2, r)
+            assert _verifies(v, w1, w2, r)
+            verdicts.add(v.exists)
+        assert len(verdicts) == 1
+        seen |= verdicts
+    assert seen == {True, False}

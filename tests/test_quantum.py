@@ -155,6 +155,11 @@ def test_coupling_identity_basis_rejects_bad_basis():
         quantum.coupling_identity_basis(half, basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
         quantum.coupling_identity_basis(half, basis=np.eye(3))
+    # orthonormal, but not an eigenbasis: its identity coupling would have
+    # both marginals 0.28 away from rho
+    hada = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with pytest.raises(InputError):
+        quantum.coupling_identity_basis(DensityOperator(np.diag([0.7, 0.3])), basis=hada)
 
 
 def test_coupling_tensor():
