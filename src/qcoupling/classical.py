@@ -8,9 +8,10 @@ left index set, and is decided here by max-flow (Edmonds-Karp) with the
 exhaustive subset scan kept as the brute-force oracle.
 
 Weights may be floats or fractions.Fraction; all routines are written so
-that rational inputs stay rational, making the oracle path exact. Max-flow
-runs both exactly, a float as the dyadic rational it is, on one integer
-network; floats only keep a 1e-9 slack on the totals and get float witnesses.
+that rational inputs stay rational. The oracle and max-flow run both
+exactly, a float as the dyadic rational it is, on integers over the weights'
+common denominator; in max-flow floats only keep a 1e-9 slack on the totals
+and get float witnesses.
 """
 
 from __future__ import annotations
@@ -151,9 +152,20 @@ def _is_witness(rows, mu1, mu2, relation: Relation, tol: float) -> bool:
     )
 
 
+def _integers(weights) -> tuple[list[int], int]:
+    """Each weight as an integer over the weights' common denominator, plus
+    that denominator; a float enters through its exact ratio, as the dyadic
+    rational it is."""
+    ratios = [(w.numerator, w.denominator) if isinstance(w, Rational)
+              else float(w).as_integer_ratio() for w in weights]
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
+
+
 def check_strassen_exhaustive(mu1, mu2, relation: Relation):
     """Brute-force scan of all S: returns None if mu1(S) <= mu2(R(S)) for
     every S, else the first violating S in lexicographic (bitmask) order.
+    Both sides are summed exactly, as integers (``_integers``).
 
     This is the oracle the other checkers are tested against; it costs
     2^m subset evaluations, hence the m <= 24 guard.
@@ -165,16 +177,17 @@ def check_strassen_exhaustive(mu1, mu2, relation: Relation):
         raise InputError("distribution sizes do not match the relation")
     if m > 24:
         raise InputError("left index set too large to enumerate; use check_lifting_maxflow")
+    caps, _ = _integers(mu1 + mu2)
     row_image = [0] * m
     for i, j in relation.pairs:
         row_image[i] |= 1 << j
     for mask in range(1, 1 << m):
-        w1 = sum(mu1[i] for i in range(m) if mask >> i & 1)
+        w1 = sum(caps[i] for i in range(m) if mask >> i & 1)
         image = 0
         for i in range(m):
             if mask >> i & 1:
                 image |= row_image[i]
-        w2 = sum(mu2[j] for j in range(n) if image >> j & 1)
+        w2 = sum(caps[m + j] for j in range(n) if image >> j & 1)
         if w1 > w2:
             return frozenset(i for i in range(m) if mask >> i & 1)
     return None
@@ -245,10 +258,7 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     if len(mu1) != m or len(mu2) != n:
         raise InputError("distribution sizes do not match the relation")
     exact = is_exact(mu1, mu2)
-    ratios = [(w.numerator, w.denominator) if isinstance(w, Rational)
-              else float(w).as_integer_ratio() for w in mu1 + mu2]
-    scale = math.lcm(*(q for _, q in ratios))
-    caps = [p * (scale // q) for p, q in ratios]
+    caps, scale = _integers(mu1 + mu2)
     value = (lambda c: Fraction(c, scale)) if exact else (lambda c: c / scale)
     t1, t2 = sum(caps[:m]), sum(caps[m:])
     num, den = (0, 1) if exact else _TOTAL_SLACK

@@ -11,9 +11,9 @@ booleans only.
 Every number must be a JSON number: booleans and numeric strings are
 rejected, and "m", "n", "pairs", "num", "den", "dim", "rows" and "cols"
 take JSON integers only.
-Emitted floats use Python's shortest round-trip representation, so
-re-parsing reproduces every value exactly; NaN and infinities are rejected
-on both paths.
+Output is compact, one document per line. Emitted floats use Python's
+shortest round-trip representation, so re-parsing reproduces every value
+exactly; NaN and infinities are rejected on both paths.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def load_file(path: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """obj as compact JSON on one line, which json's C encoder writes."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def _is_int(v) -> bool:

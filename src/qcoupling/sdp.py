@@ -62,16 +62,16 @@ padded with zeros off the supports). For full-rank marginals the
 compression is the change to their eigenbases.
 
 The dual iterates stay feasible up to round-off, so each one bounds the
-optimum from above (weak duality). A decision therefore stops at the first
-dual iterate whose value is below tr(rho1) - eps_decide: it already refutes
-every coupling, and its gap may still be far above eps. The optimum is also
-bounded by tr(rho1), since no coupling puts more mass in the subspace, so a
-decision stops as well at the first primal iterate with residual at most
-eps and value within eps of tr(rho1): it is eps-optimal whatever its dual.
+optimum from above (weak duality), and the optimum is also bounded by
+tr(rho1), since no coupling puts more mass in the subspace. A decision
+therefore stops at the first iterate that settles it, dual or primal, with
+its gap possibly far above eps (solve_coupling_sdp states the rule).
 Every NotExists dual is then completed to a strictly feasible full-space
 pair, with the iterate's own dual residual as its slack bound, at the cost
 of at most a quarter of its trace margin, and turned into a certificate in
-one pass over these trusted arrays. An Exists witness is the stopping
+one pass over these trusted arrays; both the completion and the positivity
+shift read the pair's eigenvalue bounds (cone.bounds), the one spectral
+routine of a certificate. An Exists witness is the stopping
 primal iterate, lifted and rescaled to trace tr(rho1): every iterate is
 positive definite, so the witness is a state by construction and is never
 diagonalized. A verdict keeps its proof object and the stopping iterate's
@@ -99,7 +99,6 @@ _BOUNDARY = 0.98
 _SIGMA_MIN, _SIGMA_MAX = 0.01, 0.9
 _RIDGE = 1e-12
 _SQRT2 = math.sqrt(2.0)
-_BIG_STEP = 1e16
 
 
 @dataclass(frozen=True)
@@ -148,11 +147,12 @@ class LiftingVerdict:
     tr(rho1 Y1) > tr(rho2 Y2). The witness is the stopping primal iterate
     itself, rescaled to trace tr(rho1) and never diagonalized. diagnostics
     holds the numbers of the underlying solve's stopping iterate and no
-    matrix. For Exists it is the first primal iterate within eps_solve of
-    tr(rho1), and its gap and dual residual may be far above eps_solve. For
-    NotExists it is, short of a threshold-boundary input, the first whose
-    dual refutes every coupling, and its gap and primal residual may be far
-    above eps_solve.
+    matrix: the first iterate that settles the decision, by the stop rule of
+    ``solve_coupling_sdp``. For Exists that is a primal iterate, whose gap
+    and dual residual may be far above eps_solve and whose primal residual
+    may reach 10*eps_solve. For NotExists it is, short of a
+    threshold-boundary input, the first whose dual refutes every coupling,
+    and its gap and primal residual may be far above eps_solve.
     """
 
     exists: bool
@@ -249,9 +249,9 @@ def _phi_star(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
 
 def _alphas(lam) -> list[float]:
     """Largest steps along (dX, dZ) given the smallest eigenvalues lam of
-    X^-1/2 dX X^-1/2 and Z^-1/2 dZ Z^-1/2: unbounded (_BIG_STEP) unless
+    X^-1/2 dX X^-1/2 and Z^-1/2 dZ Z^-1/2: unbounded (inf) unless
     negative."""
-    return [_BIG_STEP if v >= -1e-16 else -1.0 / v for v in lam]
+    return [math.inf if v >= -1e-16 else -1.0 / v for v in lam]
 
 
 def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
@@ -316,10 +316,6 @@ class _DenseCone:
         return v @ v.conj().T
 
     @staticmethod
-    def norm(y: np.ndarray) -> float:
-        return np.linalg.norm(y, 2)
-
-    @staticmethod
     def bounds(y: np.ndarray) -> tuple[float, float]:
         w = np.linalg.eigvalsh(y)
         return float(w[0]), float(w[-1])
@@ -329,13 +325,10 @@ class _DenseCone:
         return m
 
     @staticmethod
-    def eye(n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.complex128)
-
-    @staticmethod
     def trace(b: np.ndarray) -> float:
         return float(np.trace(b).real)
 
+    eye = staticmethod(_eye)
     phi_star = staticmethod(_phi_star)
     newton = staticmethod(_newton_solve)
     step_len = staticmethod(_step_len)
@@ -356,8 +349,9 @@ class _DiagonalCone:
     array, the Schur matrix is [[diag(G 1), G], [G^T, diag(1^T G)]], and a
     step length is the ratio test min(dv/v). A support is a boolean mask,
     compression is indexing and a lift scatters into zeros; a diagonal
-    operator's norm and spectral bounds are its largest |entry| and its
-    extreme entries. Only a proof object becomes a (diagonal) matrix."""
+    operator's spectral bounds are its extreme entries, so the norm a
+    certificate is sized by is its largest |entry|. Only a proof object
+    becomes a (diagonal) matrix."""
 
     mul = staticmethod(np.multiply)
 
@@ -388,10 +382,6 @@ class _DiagonalCone:
     @staticmethod
     def projector(mask: np.ndarray) -> np.ndarray:
         return mask
-
-    @staticmethod
-    def norm(y: np.ndarray) -> float:
-        return float(np.abs(y).max())
 
     @staticmethod
     def bounds(y: np.ndarray) -> tuple[float, float]:
@@ -479,12 +469,18 @@ def solve_coupling_sdp(
     """Solve the lifting SDP to duality gap and residuals at most eps.
 
     With dual_target set (a decision), it also stops at the first iterate
-    that settles the decision: one with dual residual at most eps and dual
-    value below dual_target, whose gap and primal residual may be far above
-    eps, or one with primal residual at most eps and primal value within eps
-    of tr(rho1) and at least dual_target, whose gap and dual residual may
-    be. No coupling puts more than tr(rho1) in the subspace, so the latter
-    is eps-optimal. Raises InputError unless eps is finite and positive,
+    that settles the decision; this is the decision's one stop rule:
+
+    - a dual iterate with dual residual at most eps and dual value below
+      dual_target, whose gap and primal residual may be far above eps; by
+      weak duality it refutes every coupling;
+    - a primal iterate with primal residual at most 10*eps, the tolerance
+      its witness is verified at (``check_quantum_lifting``), and primal
+      value within eps of tr(rho1) and at least dual_target, whose gap and
+      dual residual may be far above eps. No coupling puts more than
+      tr(rho1) in the subspace, so its value is eps-optimal.
+
+    Raises InputError unless eps is finite and positive,
     and SolverFailure, with the best iterate attached, if the iteration cap
     is reached first or the loop's linear algebra raises LinAlgError. The
     initial primal point is a strictified version of the always-feasible
@@ -601,12 +597,11 @@ def _solve_core(
             if score < best_score:
                 best_score = score
                 best = snapshot(it)
-            # a decision also stops at the first iterate that settles it: a
-            # dual one that refutes every coupling, or a primal one within
-            # eps of the largest possible value t that meets the target
+            # a decision also stops at the first iterate that settles it
+            # (solve_coupling_sdp states the rule)
             decided = dual_target is not None and (
                 (dres <= eps and dval < dual_target)
-                or (pres <= eps and t - pval <= eps and pval >= dual_target)
+                or (pres <= 10 * eps and t - pval <= eps and pval >= dual_target)
             )
             if decided or (dres <= eps and gap <= eps and pres <= eps):
                 return snapshot(it)
@@ -649,25 +644,22 @@ def _solve_core(
     )
 
 
-def _condition_a(cone, y1: np.ndarray, y2: np.ndarray):
-    """The condition-A transform on trusted arrays in the cone's form."""
-    return cone.eye(y1.shape[0]) - y1, y2
-
-
 def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
     """Swap between dual-feasible pairs and separating pairs: Y1 -> I - Y1.
 
     (Y1 (x) I + I (x) Y2 >= P_X) holds iff (P_perp >= (I-Y1) (x) I - I (x) Y2),
     and applying the map twice returns the original pair.
     """
-    return _condition_a(_DenseCone, linalg.hermitize(y1), linalg.hermitize(y2))
+    y1 = linalg.hermitize(y1)
+    return _eye(y1.shape[0]) - y1, linalg.hermitize(y2)
 
 
 def _shift(cone, y1: np.ndarray, y2: np.ndarray):
     """The positivity shift on trusted arrays in the cone's form, plus the
     operator norm of the shifted pair: both are PSD, so it is the largest
-    eigenvalue less lam, read off the same spectral bounds. A construction
-    step, not a check, so on the dense cone its spectra come from LAPACK."""
+    eigenvalue less lam, read off the same spectral bounds (cone.bounds,
+    which _complete_dual reads too). A construction step, not a check, so
+    on the dense cone its spectra come from LAPACK."""
     (lo1, hi1), (lo2, hi2) = cone.bounds(y1), cone.bounds(y2)
     lam = min(lo1, lo2)
     norm = max(hi1, hi2) - lam
@@ -728,7 +720,9 @@ def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: f
     quarter of the trace margin), leaving slack eta_eff = eta -
     dual_residual, and raises the orthocomplements of the supports until
     their slack is at least 2/eta_eff, so the Schur complement across the
-    cross block (norm at most ||P|| = 1) keeps slack eta_eff/2. For
+    cross block (norm at most ||P|| = 1) keeps slack eta_eff/2. The raise is
+    sized from the pair's spectral norm, max(-lam_min, lam_max) of the
+    eigenvalue bounds (cone.bounds) that _shift reads as well. For
     full-rank marginals that is Y1 + eta * I; else the norm grows like
     1/margin.
     """
@@ -742,7 +736,8 @@ def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: f
             sol,
         )
     y1, y2 = sol.dual_y1, sol.dual_y2
-    big = 1.0 + max(cone.norm(y1), cone.norm(y2)) + 2.0 / eta_eff
+    norm = max(max(-lo, hi) for lo, hi in (cone.bounds(y1), cone.bounds(y2)))
+    big = 1.0 + norm + 2.0 / eta_eff
     p1, p2 = cone.projector(v1), cone.projector(v2)
     y1 = cone.sym(y1 + eta * p1 + big * (cone.eye(y1.shape[0]) - p1))
     y2 = cone.sym(y2 + big * (cone.eye(y2.shape[0]) - p2))
@@ -760,8 +755,9 @@ def _refute(
     then does it become a pair of matrices, verified against the problem."""
     _, b1, b2, v1, v2 = cone.inputs(problem)
     try:
-        y1, y2 = _condition_a(cone, *_complete_dual(cone, sol, v1, v2, t1))
-        y1, y2, _, norm = _shift(cone, y1, y2)
+        y1, y2 = _complete_dual(cone, sol, v1, v2, t1)
+        # the condition-A transform Y1 -> I - Y1, then the positivity shift
+        y1, y2, _, norm = _shift(cone, cone.eye(y1.shape[0]) - y1, y2)
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
     if norm > 1.0 and _margin(y1, y2, b1, b2) / norm > max(eps_decide, tol):
@@ -779,29 +775,30 @@ def check_quantum_lifting(
 ) -> LiftingVerdict:
     """Decide whether (rho1, rho2) admits a coupling inside the subspace.
 
-    The solve stops at the first dual iterate with residual at most
-    eps_solve and value below tr(rho1) - eps_decide; such an iterate
-    refutes every coupling and decides NotExists, and only without one is
-    the primal value read. It also stops at the first primal iterate with
-    residual at most eps_solve and value within eps_solve of tr(rho1).
-    Exists when the primal value reaches tr(rho1) - eps_decide; the witness
-    is the stopping primal iterate rescaled to trace tr(rho1), with no
-    diagonalization: the iterate is positive definite and its lift exactly
-    Hermitian, so it is a state by construction; it must re-verify at
-    10*eps_solve (``quantum.is_lifting_witness``). If not, the
-    certificate of the same solve is tried, and NotExists is decided when it
-    verifies; otherwise the verdict degrades to a solver failure. NotExists
-    returns a certificate built from the stopping dual iterate in one pass:
-    it is first completed to a strictly feasible full-space pair, at the
-    cost of at most a quarter of its trace margin, then put through the
-    condition-A transform and the positivity shift, and rescaled to
-    operator norm at most 1 when the scaled trace gap still exceeds both
-    eps_decide and 10*eps_solve; ``verify_dual_certificate``'s test, less its
-    input checks, verifies it at 10*eps_solve. The verdict's diagnostics
-    are the stopping iterate's numbers only. Both thresholds must be
-    finite and positive (InputError). The zero state couples with itself
-    inside any subspace, via the zero witness. Otherwise eps_decide must
-    lie below tr(rho1), or NotExists could never be reached (InputError).
+    The solve stops at the first iterate that settles the decision, by the
+    stop rule of ``solve_coupling_sdp`` with eps = eps_solve and dual target
+    tr(rho1) - eps_decide. A dual iterate below the target refutes every
+    coupling and decides NotExists, and only without one is the primal
+    value read. Exists when the primal value reaches tr(rho1) - eps_decide;
+    the witness is the stopping primal iterate rescaled to trace tr(rho1),
+    with no diagonalization: the iterate is positive definite and its lift
+    exactly Hermitian, so it is a state by construction; it must re-verify
+    at 10*eps_solve (``quantum.is_lifting_witness``), the primal residual
+    the stop rule allows. If not, the certificate of the same solve is
+    tried, and NotExists is decided when it verifies; otherwise the verdict
+    degrades to a solver failure. NotExists returns a certificate built
+    from the stopping dual iterate in one pass: it is first completed to a
+    strictly feasible full-space pair, at the cost of at most a quarter of
+    its trace margin and sized from the pair's eigenvalue bounds, then put
+    through the condition-A transform and the positivity shift, and
+    rescaled to operator norm at most 1 when the scaled trace gap still
+    exceeds both eps_decide and 10*eps_solve; ``verify_dual_certificate``'s
+    test, less its input checks, verifies it at 10*eps_solve. The verdict's
+    diagnostics are the stopping iterate's numbers only. Both thresholds
+    must be finite and positive (InputError). The zero state couples with
+    itself inside any subspace, via the zero witness. Otherwise eps_decide
+    must lie below tr(rho1), or NotExists could never be reached
+    (InputError).
     """
     check_threshold("eps_solve", eps_solve)
     check_threshold("eps_decide", eps_decide)

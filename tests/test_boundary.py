@@ -59,6 +59,22 @@ DOOR = {
         [Fr(1, 2), Fr(1, 2)], [Fr(1, 2), Fr(1, 3)], Relation.full(2, 2)),
     "classical-witness-shape": lambda: classical.is_lifting_witness_classical(
         [[0.5, 0.0], [0.0, 0.5]], HALF, HALF, Relation.full(3, 3)),
+    "classical-witness-marginal-sizes": lambda: classical.is_lifting_witness_classical(
+        [[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5, 0.0], HALF, Relation.full(2, 2)),
+    "joint-ragged": lambda: classical.marginals([[0.5], [0.25, 0.25]]),
+    "exhaustive-sizes": lambda: classical.check_strassen_exhaustive(
+        HALF, [1.0], Relation.full(2, 2)),
+    "maxflow-sizes": lambda: classical.check_lifting_maxflow(
+        HALF, [1.0], Relation.full(2, 2)),
+    "y2-min-size": lambda: classical.y2_min([1.0, 0.0, 0.0], Relation.full(2, 2)),
+    "statement-2prime-observable-sizes": lambda: classical.check_statement_2prime(
+        HALF, HALF, Relation.full(2, 2), [1.0], [1.0, 1.0]),
+    "statement-2prime-distribution-sizes": lambda: classical.check_statement_2prime(
+        [1.0], HALF, Relation.full(2, 2), [1.0, 0.0], [1.0, 1.0]),
+    "marginal-deviation-dims": lambda: quantum.marginal_deviation(
+        DensityOperator(np.eye(3) / 3), quantum.uniform_density(2), quantum.uniform_density(2)),
+    "support-leakage-dims": lambda: quantum.support_leakage(
+        quantum.uniform_density(2), Subspace.full(4)),
     "certificate-dims": lambda: sdp.verify_dual_certificate(
         np.eye(3), np.eye(2), _uniform_problem(4)),
     "certificate-non-hermitian": lambda: sdp.verify_dual_certificate(

@@ -60,9 +60,12 @@ def test_marginals_and_witness_predicate():
     assert not classical.is_lifting_witness_classical(
         joint, HALF, HALF, Relation.equality(2)
     )
-    # marginal mismatch
+    # marginal mismatch, in the rows and then in the columns alone
     assert not classical.is_lifting_witness_classical(
         joint, [Fr(1), Fr(0)], HALF, FLIP
+    )
+    assert not classical.is_lifting_witness_classical(
+        joint, HALF, [Fr(1), Fr(0)], FLIP
     )
 
 
@@ -81,6 +84,17 @@ def test_point_relation_blocks_mass():
     v = classical.check_lifting_maxflow(HALF, HALF, rel)
     assert not v.exists
     assert v.violating == frozenset({1})
+
+
+def test_exhaustive_oracle_sums_float_weights_exactly():
+    """mu1({0, 1}) = 0.5 + 5e-324 exceeds mu2(R({0, 1})) = 0.5 by less than
+    an ulp of 0.5; the oracle sums the weights exactly, so it finds the
+    violation on floats as it does on the same weights as Fractions."""
+    rel = Relation.from_pairs(2, 2, [(0, 0), (1, 0)])
+    mu = [0.5, 5e-324]
+    assert classical.check_strassen_exhaustive(mu, mu, rel) == frozenset({0, 1})
+    exact = [Fr(w) for w in mu]
+    assert classical.check_strassen_exhaustive(exact, exact, rel) == frozenset({0, 1})
 
 
 def test_maxflow_rejects_unequal_totals():
@@ -403,9 +417,8 @@ def test_float_weights_run_exactly_on_the_integer_network():
         deficit = _hall_deficit(mu1, mu2, rel)
         slack = Fr(1e-9) * max(1, sum(Fr(w) for w in mu1))
         assert v.exists == (deficit <= slack), (mu1, mu2, sorted(rel.pairs))
-        exact1, exact2 = [Fr(w) for w in mu1], [Fr(w) for w in mu2]
         if deficit == 0 or deficit > slack:
-            oracle = classical.check_strassen_exhaustive(exact1, exact2, rel)
+            oracle = classical.check_strassen_exhaustive(mu1, mu2, rel)
             assert v.exists == (oracle is None)
         assert _verifies(v, mu1, mu2, rel)
         if v.exists:

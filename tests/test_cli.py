@@ -373,6 +373,28 @@ def test_subspace_dimension_mismatch_exits_one(tmp_path, capsys):
     assert "ambient" in captured.err
 
 
+def test_projector_subspace_decides_like_its_span(tmp_path, capsys):
+    """A subspace given as {"projector": ...} gets the verdict of the span it
+    projects onto, either way; a matrix that is no projector exits 1."""
+    for files, kept, verdict in (
+        (bell_files(tmp_path), [0, 3], "exists"),
+        (point_files(tmp_path), [0], "not_exists"),
+    ):
+        rho1, rho2, span = files
+        basis = np.eye(4)[kept]
+        proj = jwrite(tmp_path, "proj.json", {"projector": mat_json(basis.T @ basis)})
+        for sub in (span, proj):
+            rc, out = run_json(
+                capsys, ["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", sub]
+            )
+            assert rc == 0 and out["verdict"] == verdict, sub
+    half = jwrite(tmp_path, "half.json", {"projector": mat_json(np.diag([0.5, 1.0, 0.0, 0.0]))})
+    rc = cli.run(["check-lifting", "--rho1", rho1, "--rho2", rho2, "--subspace", half])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and captured.err != ""
+
+
 def test_unreachable_tolerance_exits_two(tmp_path, capsys):
     rho1, rho2, sub = bell_files(tmp_path)
     rc = cli.run(

@@ -70,6 +70,12 @@ def test_support_leakage_and_witness_predicate():
     assert quantum.is_coupling(prod, half, half)
     assert not quantum.is_lifting_witness(prod, problem, 1e-3)
     assert quantum.support_leakage(prod, sub) == pytest.approx(0.5)
+    # their mixtures couple (I/2, I/2) too and leak half the product's weight:
+    # the leakage alone decides, on either side of the tolerance
+    for leak, verdict in ((0.9e-6, True), (1.1e-6, False)):
+        rho = DensityOperator((1 - 2 * leak) * bell.mat + 2 * leak * prod.mat)
+        assert quantum.is_coupling(rho, half, half, 1e-12)
+        assert quantum.is_lifting_witness(rho, problem, 1e-6) is verdict
 
 
 def test_bell_witness_for_equality_subspace():

@@ -301,6 +301,20 @@ def test_planted_near_singular_marginals_decide():
         assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
 
 
+def test_planted_near_singular_sweep_decides_at_the_witness_tolerance():
+    # some of these inputs reach the Exists answer only with a primal
+    # residual just above eps_solve; the decision stops at 10 * eps_solve,
+    # the tolerance its witness is verified at, so none of the 320 inputs
+    # ends in a SolverFailure at the iteration cap
+    for seed in range(1, 41):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            problem = _planted_near_singular(rng, 3, 1e-8)
+            verdict = sdp.check_quantum_lifting(problem)
+            assert verdict.exists
+            assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+
+
 def test_solve_rejects_trace_mismatch_and_zero_trace():
     rho1 = DensityOperator(np.eye(2) / 2)
     rho2 = DensityOperator(np.eye(2) / 4)
@@ -698,22 +712,63 @@ def _rotated_point_problem():
 
 
 def test_certificate_lapack_failure_is_a_solver_failure(monkeypatch):
-    """A LAPACK failure after the solve, while the dual is completed and
-    rescaled into a certificate (spectral norms), is a SolverFailure
-    carrying the solution."""
+    """A LAPACK failure after the solve, while the dual is completed into a
+    certificate (its eigenvalue bounds), is a SolverFailure carrying the
+    solution."""
     problem = _rotated_point_problem()
     assert not problem.diagonal
     solve = sdp.solve_coupling_sdp
 
     def solve_then_break(*args, **kwargs):
         sol = solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "norm", _lapack_breaks)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_breaks)
         return sol
 
     monkeypatch.setattr(sdp, "solve_coupling_sdp", solve_then_break)
     with pytest.raises(SolverFailure) as info:
         sdp.check_quantum_lifting(problem)
     assert info.value.best is not None
+
+
+def _recording_solve(monkeypatch):
+    """Route sdp.solve_coupling_sdp through a wrapper; the returned list
+    collects every solution it hands back."""
+    solve, sols = sdp.solve_coupling_sdp, []
+
+    def recorded(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(sdp, "solve_coupling_sdp", recorded)
+    return sols
+
+
+@pytest.mark.parametrize("make", [point_problem, _rotated_point_problem],
+                         ids=["diagonal", "dense"])
+def test_certificate_failing_verification_is_a_solver_failure(monkeypatch, make):
+    """A NotExists certificate that does not verify is never returned: the
+    decision is a SolverFailure carrying the solve."""
+    problem = make()
+    sols = _recording_solve(monkeypatch)
+    monkeypatch.setattr(sdp, "_verify", lambda *args: False)
+    with pytest.raises(SolverFailure, match="failed verification") as info:
+        sdp.check_quantum_lifting(problem)
+    assert len(sols) == 1 and info.value.best is sols[0]
+
+
+@pytest.mark.parametrize("make", [lambda: _bell_problem(2), lambda: _identity_coupling_problem()],
+                         ids=["diagonal", "dense"])
+def test_witness_failing_verification_is_a_solver_failure(monkeypatch, make):
+    """An Exists witness that does not verify falls back on the certificate
+    of the same solve; when that cannot decide either, the decision is a
+    SolverFailure carrying the solve."""
+    problem = make()
+    assert sdp.check_quantum_lifting(problem).exists
+    sols = _recording_solve(monkeypatch)
+    monkeypatch.setattr(quantum, "is_lifting_witness", lambda *args: False)
+    with pytest.raises(SolverFailure, match="witness cleanup") as info:
+        sdp.check_quantum_lifting(problem)
+    assert len(sols) == 1 and info.value.best is sols[0]
 
 
 def test_shift_lapack_failure_is_a_solver_failure(monkeypatch):
