@@ -343,8 +343,11 @@ def check_statement_2prime(
     Validates that (y1, y2) satisfies y2[j] >= y1[i] - constraint_tol on
     relation pairs and y2[j] >= y1[i] - 1 - constraint_tol off them
     (raising an input error naming the first violated pair), then returns
-    whether sum_i mu1[i] y1[i] <= sum_j mu2[j] y2[j] + 1e-12.
+    whether sum_i mu1[i] y1[i] <= sum_j mu2[j] y2[j] + 1e-12. constraint_tol
+    must be finite and positive, or 0: an exact check.
     """
+    if constraint_tol != 0:
+        check_threshold("constraint_tol", constraint_tol)
     mu1 = check_subdistribution(mu1)
     mu2 = check_subdistribution(mu2)
     y1 = _check_entries(y1, "left observable")

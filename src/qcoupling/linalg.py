@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_threshold
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-8
@@ -191,8 +191,8 @@ def _jacobi_eigvals(h: np.ndarray) -> np.ndarray:
 
 
 def is_psd(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian h is >= -tol."""
-    return _is_psd(hermitize(h), tol)
+    """True iff Hermitian h has smallest eigenvalue >= -tol, tol finite > 0."""
+    return _is_psd(hermitize(h), check_threshold("tol", tol))
 
 
 def _is_psd(h: np.ndarray, tol: float) -> bool:

@@ -12,8 +12,9 @@ Mehrotra-style adaptive centering. Each iteration eliminates the primal
 and slack directions and solves a Schur system on the dual block; that
 operator is positive semidefinite with a one-dimensional kernel spanned by
 (I1, -I2) (both constraint blocks fix the same total trace), which is
-deflated exactly. Strict dual feasibility always holds at the start
-Y = (I1, I2), Z = 2I - P_X >= I.
+deflated exactly: each Newton direction is one LU solve of the deflated,
+positive-definite matrix, with no refinement pass and no ridge. Strict
+dual feasibility always holds at the start Y = (I1, I2), Z = 2I - P_X >= I.
 
 The loop is written once and runs on one of two cones, chosen once per
 problem from its input. If every off-diagonal entry of rho1, rho2 and the
@@ -97,7 +98,6 @@ TRACE_MATCH_TOL = 1e-9
 _MAX_ITER = 200
 _BOUNDARY = 0.98
 _SIGMA_MIN, _SIGMA_MAX = 0.01, 0.9
-_RIDGE = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -261,19 +261,13 @@ def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
     return _alphas(np.linalg.eigvalsh(linalg.herm(w))[:, 0].tolist())
 
 
-def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution of m @ v = rhs after one refinement pass."""
-    v = np.linalg.solve(m, rhs)
-    v += np.linalg.solve(m, rhs - m @ v)
-    return v
-
-
 def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    """Solve the Schur system m for the dual direction (dY1, dY2) given the
-    right-hand side pair (r1, r2); both travel in Herm-basis coordinates."""
+    """One LU solve, with no refinement pass and no ridge, of the deflated,
+    positive-definite Schur system m for the dual direction (dY1, dY2) given
+    the right-hand side pair (r1, r2); both travel in Herm-basis coordinates."""
     d1, d2 = r1.shape[0], r2.shape[0]
     t1, t2, _ = _schur_data(d1, d2)
-    dy = _refined_solve(m, np.concatenate([_coords(t1, r1), _coords(t2, r2)]))
+    dy = np.linalg.solve(m, np.concatenate([_coords(t1, r1), _coords(t2, r2)]))
     return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
 
 
@@ -432,7 +426,7 @@ class _DiagonalCone:
         return m
 
     def newton(self, m, r1, r2):
-        dy = _refined_solve(m, np.concatenate([r1, r2]))
+        dy = np.linalg.solve(m, np.concatenate([r1, r2]))
         return dy[: self.d1], dy[self.d1 :]
 
     @staticmethod
@@ -611,7 +605,7 @@ def _solve_core(
             factors, zinv = cone.factor(x, z)
             schur = cone.schur(x, zinv)
             deflate = max(1.0, float(np.trace(schur)) / m)
-            schur = schur + deflate * np.outer(kernel, kernel) + _RIDGE * np.eye(m)
+            schur = schur + deflate * np.outer(kernel, kernel)
 
             zi1, zi2 = cone.traces(zinv, d1, d2)
             xrd = cone.mul(x, rd)

@@ -1,6 +1,7 @@
 """Tests for the classical side: relations, the max-flow and exhaustive
 checkers, and the level-set / minimal-completion machinery."""
 
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -327,6 +328,20 @@ def test_check_statement_2prime_rejects_violated_constraints():
     assert "(0,0)" in str(err.value)
     with pytest.raises(InputError):
         classical.check_statement_2prime(HALF, HALF, rel, [Fr(-1), Fr(0)], [Fr(0), Fr(0)])
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_check_statement_2prime_rejects_a_bad_constraint_tolerance(tol):
+    # an infinite or NaN tolerance would skip the constraint check that the
+    # exact tolerance 0 fails on this pair
+    rel = Relation.equality(2)
+    with pytest.raises(InputError, match="constraint_tol"):
+        classical.check_statement_2prime(
+            HALF, HALF, rel, [Fr(1), Fr(0)], [Fr(0), Fr(0)], constraint_tol=tol
+        )
+    assert classical.check_statement_2prime(
+        HALF, HALF, rel, [Fr(0), Fr(0)], [Fr(0), Fr(0)], constraint_tol=1e-9
+    )
 
 
 def test_statement_2prime_via_y2_min_when_strassen_holds():

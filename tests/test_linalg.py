@@ -193,6 +193,13 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9, 0.0])
+def test_is_psd_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite tolerance would accept -I, a NaN one reject everything
+    with pytest.raises(InputError):
+        linalg.is_psd(-np.eye(2), tol=tol)
+
+
 def test_is_psd_and_projection():
     h = np.diag([1.0, -1e-12, -0.5])
     assert not linalg.is_psd(h, tol=1e-13)

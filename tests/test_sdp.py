@@ -304,15 +304,47 @@ def test_planted_near_singular_marginals_decide():
 def test_planted_near_singular_sweep_decides_at_the_witness_tolerance():
     # some of these inputs reach the Exists answer only with a primal
     # residual just above eps_solve; the decision stops at 10 * eps_solve,
-    # the tolerance its witness is verified at, so none of the 320 inputs
+    # the tolerance its witness is verified at, so none of the 1600 inputs
     # ends in a SolverFailure at the iteration cap
-    for seed in range(1, 41):
+    for seed in range(1, 201):
         rng = np.random.default_rng(seed)
         for _ in range(8):
             problem = _planted_near_singular(rng, 3, 1e-8)
             verdict = sdp.check_quantum_lifting(problem)
             assert verdict.exists
             assert quantum.is_lifting_witness(verdict.witness, problem, tol=1e-7)
+
+
+def _three_forms(problem, u1, u2):
+    """A d = 3 problem as given, rotated by u1 (x) u2, and with its parties
+    swapped; a coupling exists for all three or for none."""
+    rho1, rho2, p = problem.rho1.mat, problem.rho2.mat, problem.subspace.projector
+    u = np.kron(u1, u2)
+    rotated = CouplingProblem(
+        DensityOperator(u1 @ rho1 @ u1.conj().T),
+        DensityOperator(u2 @ rho2 @ u2.conj().T),
+        Subspace.from_projector(u @ p @ u.conj().T),
+    )
+    swapped = CouplingProblem(
+        problem.rho2,
+        problem.rho1,
+        Subspace.from_projector(p.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)),
+    )
+    return problem, rotated, swapped
+
+
+def test_planted_near_singular_decides_in_every_form():
+    # the planted eps = 1e-8 class decides Exists with a witness that
+    # re-verifies whether it is given, rotated by a product unitary or has
+    # its parties swapped
+    for s in range(150):
+        rng = np.random.default_rng(1000 * s + 7)
+        problem = _planted_near_singular(rng, 3, 1e-8)
+        forms = _three_forms(problem, rand_unitary(rng, 3), rand_unitary(rng, 3))
+        for form in forms:
+            verdict = sdp.check_quantum_lifting(form)
+            assert verdict.exists
+            assert quantum.is_lifting_witness(verdict.witness, form, tol=1e-7)
 
 
 def test_solve_rejects_trace_mismatch_and_zero_trace():
@@ -776,16 +808,20 @@ def test_shift_lapack_failure_is_a_solver_failure(monkeypatch):
     pair; a LinAlgError there is a SolverFailure carrying the solution."""
     problem = _rotated_point_problem()
     assert sdp.check_quantum_lifting(problem).exists is False
-    eigvalsh = np.linalg.eigvalsh
+    shift, eigvalsh, entered = sdp._shift, np.linalg.eigvalsh, []
 
-    def breaking_on_d_by_d(h, *args, **kwargs):
-        if h.shape == (2, 2):
-            _lapack_breaks()
-        return eigvalsh(h, *args, **kwargs)
+    def shift_with_lapack_broken(*args):
+        entered.append(None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_breaks)
+        try:
+            return shift(*args)
+        finally:
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", breaking_on_d_by_d)
+    monkeypatch.setattr(sdp, "_shift", shift_with_lapack_broken)
     with pytest.raises(SolverFailure, match="certificate linear algebra") as info:
         sdp.check_quantum_lifting(problem)
+    assert entered
     assert info.value.best is not None
 
 
@@ -843,14 +879,15 @@ def _bell_problem(d):
 
 @pytest.mark.parametrize("routine, calls_per_step, make, cone", [
     pytest.param("cholesky", 1, _identity_coupling_problem, sdp._DenseCone, id="cholesky-1"),
-    pytest.param("solve", 4, _identity_coupling_problem, sdp._DenseCone, id="solve-4"),
-    pytest.param("solve", 4, lambda: _bell_problem(3), sdp._DiagonalCone, id="solve-4-diagonal"),
+    pytest.param("solve", 2, _identity_coupling_problem, sdp._DenseCone, id="solve-2"),
+    pytest.param("solve", 2, lambda: _bell_problem(3), sdp._DiagonalCone, id="solve-2-diagonal"),
 ])
 def test_loop_linalg_failure_is_a_solver_failure(monkeypatch, routine, calls_per_step, make, cone):
     """With no fallback in the loop, a LinAlgError at its factorization or
     its Newton solve ends the decision as a SolverFailure carrying the best
     iterate before the failing step; no raw LinAlgError escapes. Both cones
-    make 4 Newton solves per step: predictor and corrector, each refined once."""
+    make 2 Newton solves per step: one for the predictor and one for the
+    corrector."""
     problem = make()
     k = 3  # the failing step; its iterate is number k - 1
     cones = record_cones(monkeypatch)

@@ -7,7 +7,11 @@ Imports the library from ``DIR/src`` and the workloads from
 ``DIR/bench/workloads.py``, writing nothing under DIR, and decides every
 input of every workload's pool at each seed through the workload's own op.
 It prints one line per workload: the number of inputs, the SHA-256 of
-their outcomes and the SHA-256 of their statuses alone. An outcome is the
+their outcomes, the SHA-256 of their statuses alone and, as
+``iterations N``, the total interior-point iterations of every
+``sdp.solve_coupling_sdp`` call (a ``SolverFailure``'s best iterate
+counts too). Fields 2, 5 and 8 of the line are the count and the two
+digests, field 10 the total. An outcome is the
 op's status plus its result: the proof object of a lifting verdict, the
 emitted and re-verified JSON of a CLI op, the report of a cross-check. Two
 checkouts that print the same outcome digest gave every input the same
@@ -62,10 +66,30 @@ def _outcome(status: str, payload):
     return payload
 
 
-def digest(workloads, name: str, seeds) -> tuple[int, str, str]:
-    """The input count and the outcome and statuses digests of one workload."""
+def count_iterations(sdp) -> list[int]:
+    """Route sdp.solve_coupling_sdp through a wrapper that adds the
+    iterations of each solve, or of a SolverFailure's best iterate, to the
+    returned one-element list."""
+    solve, total = sdp.solve_coupling_sdp, [0]
+
+    def counted(*args, **kwargs):
+        try:
+            sol = solve(*args, **kwargs)
+        except sdp.SolverFailure as err:
+            total[0] += err.best.iterations
+            raise
+        total[0] += sol.iterations
+        return sol
+
+    sdp.solve_coupling_sdp = counted
+    return total
+
+
+def digest(workloads, name: str, seeds, iterations) -> tuple[int, str, str, int]:
+    """The input count, the outcome and statuses digests and the iterations
+    added to the count_iterations list ``iterations`` by one workload."""
     h, statuses = hashlib.sha256(), hashlib.sha256()
-    count = 0
+    count, start = 0, iterations[0]
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             wl = workloads.WORKLOADS[name](workdir)
@@ -77,7 +101,7 @@ def digest(workloads, name: str, seeds) -> tuple[int, str, str]:
                 _feed(h, _outcome(status, payload))
                 statuses.update(f"{status}\n".encode())
                 count += 1
-    return count, h.hexdigest(), statuses.hexdigest()
+    return count, h.hexdigest(), statuses.hexdigest(), iterations[0] - start
 
 
 def main(argv=None) -> int:
@@ -89,11 +113,16 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # leave the checkout as it was
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
+    from qcoupling import sdp
 
+    iterations = count_iterations(sdp)
     print(f"root {root}, seeds {' '.join(map(str, args.seeds))}")
     for name in workloads.WORKLOADS:
-        count, outcomes, statuses = digest(workloads, name, args.seeds)
-        print(f"{name}: {count} inputs, sha256 {outcomes}, statuses sha256 {statuses}")
+        count, outcomes, statuses, iters = digest(workloads, name, args.seeds, iterations)
+        print(
+            f"{name}: {count} inputs, sha256 {outcomes}, statuses sha256 {statuses} "
+            f"iterations {iters}"
+        )
     return 0
 
 
