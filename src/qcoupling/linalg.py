@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * every eigendecomposition goes through ``_eigh`` (LAPACK), and the
   Jacobi kernel ``_jacobi_eigvals`` serves only the PSD test ``_is_psd``,
   which a lifting decision runs to validate its input and verify its
-  proof object;
+  proof object; the lifting solver's step-length tests and a certificate's
+  eigenvalue bounds are eigenvalue-only ``np.linalg.eigvalsh`` calls in
+  ``sdp``;
 * one support rule, ``support_mask``, serves states, the lifting solver's
   marginal compression and spans: a direction whose weight is at most
   RANK_TOL times the largest weight counts as absent.
@@ -52,8 +54,9 @@ def hermitize(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
     Rejects inputs whose anti-Hermitian part exceeds ``tol`` relative to
     max(1, ||M||_F): silently symmetrizing genuinely non-Hermitian data
-    would hide caller bugs.
+    would hide caller bugs. ``tol`` must be finite and positive.
     """
+    check_threshold("tol", tol)
     m = as_matrix(m)
     skew = np.linalg.norm(m - m.conj().T)
     if skew > tol * max(1.0, np.linalg.norm(m)):

@@ -36,18 +36,19 @@ Any other input, a round-off entry included, runs on the dense cone
 described next, even when its compression happens to be diagonal, so the
 choice can change the cost but not a verdict.
 
-On the dense cone the dual block is Herm(d1) (+) Herm(d2), and it has one
-coordinate system: the cached orthonormal real basis of Herm(n) (diagonal,
-symmetric and antisymmetric units), held as a matrix T whose rows are the
-flattened basis elements. A Hermitian h has coordinates
-Re(conj(T) h.ravel()), and coordinates v give back the matrix (T^T v)
-reshaped to n x n.
+On the dense cone the dual block is Herm(d1) (+) Herm(d2), and a Hermitian
+n x n matrix h has the n*n real coordinates (Re h + Im h).ravel(): Re h is
+symmetric and Im h antisymmetric, so the map is an isometry, and its
+inverse takes C = v.reshape(n, n) to C*(1+i)/2 plus its conjugate
+transpose, which is exactly Hermitian in floating point.
 
 The Schur entries <G_a, X G_b Z^-1>, with G = E (x) I or I (x) E, are
 contracted straight from X and Z^-1 viewed as (d1, d2, d1, d2) tensors, one
-block per pair of constraint families, and then mapped onto the Herm basis;
-no stacked Phi*(basis) tensor exists. That is O(d^6) time and O(d^4)
-memory per iteration for d1 = d2 = d. X and Z are Cholesky-factored once per
+block per pair of constraint families with rows and columns indexed by
+matrix units, and each block is read into the coordinates through four
+axis permutations of its 4-D view; no stacked Phi*(basis) tensor and no
+basis matrix exists. That is O(d^6) time and O(d^4) memory per iteration
+for d1 = d2 = d. X and Z are Cholesky-factored once per
 iterate; the inverse factors give Z^-1 and all four step-length tests.
 The iterates are Hermitian by construction, so only products are
 symmetrized. The loop has no fallback: a LinAlgError in it, like the
@@ -98,7 +99,6 @@ TRACE_MATCH_TOL = 1e-9
 _MAX_ITER = 200
 _BOUNDARY = 0.98
 _SIGMA_MIN, _SIGMA_MAX = 0.01, 0.9
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -161,26 +161,16 @@ class LiftingVerdict:
     diagnostics: IterateStats
 
 
-def _herm_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of Herm(n), ordered diag / sym / antisym,
-    stacked as an (n*n, n, n) array."""
-    i, j = np.triu_indices(n, 1)
-    k = np.arange(i.size)
-    sym = np.zeros((i.size, n, n), dtype=np.complex128)
-    anti = np.zeros_like(sym)
-    sym[k, i, j] = sym[k, j, i] = 1.0 / _SQRT2
-    anti[k, i, j], anti[k, j, i] = 1j / _SQRT2, -1j / _SQRT2
-    return np.concatenate([np.eye(n, dtype=np.complex128)[:, None] * np.eye(n), sym, anti])
+def _coords(h: np.ndarray) -> np.ndarray:
+    """The n*n real coordinates (Re h + Im h).ravel() of Hermitian h."""
+    return (h.real + h.imag).ravel()
 
 
-def _coords(t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coordinates of Hermitian h over the Herm basis whose rows are t."""
-    return (t.conj() @ h.ravel()).real
-
-
-def _from_coords(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The n x n Hermitian matrix with coordinates v over the rows of t."""
-    return (t.T @ v).reshape(n, n)
+def _from_coords(v: np.ndarray, n: int) -> np.ndarray:
+    """The n x n Hermitian matrix with coordinates v: C*(1+i)/2 plus its
+    conjugate transpose, for C = v.reshape(n, n)."""
+    h = v.reshape(n, n) * (0.5 + 0.5j)
+    return h + h.conj().T
 
 
 @lru_cache(maxsize=32)
@@ -191,36 +181,30 @@ def _eye(n: int) -> np.ndarray:
     return e
 
 
-@lru_cache(maxsize=32)
-def _schur_data(d1: int, d2: int):
-    """Cached per-dimension data: the Herm(d1) and Herm(d2) bases as rows
-    over the matrix units (row a is basis element a, flattened) and the
-    normalized kernel direction in their coordinates.
-
-    These bases are the only coordinate system of the dual block: _schur
-    maps its contractions through them, and _coords / _from_coords carry
-    every Newton right-hand side and direction. No stacked Phi*(basis)
-    tensor is kept: _schur contracts X and Z^-1 directly, in O(d^6) time
-    and O(d^4) memory per iteration for d1 = d2 = d."""
-    t1 = _herm_basis(d1).reshape(d1 * d1, d1 * d1)
-    t2 = _herm_basis(d2).reshape(d2 * d2, d2 * d2)
-    kernel = np.concatenate([_coords(t1, _eye(d1)), -_coords(t2, _eye(d2))])
-    kernel /= np.linalg.norm(kernel)
-    return t1, t2, kernel
+def _in_coords(m: np.ndarray) -> np.ndarray:
+    """The real block S[a,b] = Re sum_uv h_a[u] M[u,v] h_b[v] of a
+    contraction M over matrix units, given as its 4-D view m[i,j,p,q] =
+    M[(i,j),(p,q)]; h_a is the Hermitian matrix with coordinates e_a,
+    ((1+i) e_ij + (1-i) e_ji)/2 for a = (i,j). With a' the transposed unit,
+    S[a,b] = (Re M[a',b] + Re M[a,b'] + Im M[a',b'] - Im M[a,b])/2."""
+    n1, n2 = m.shape[0] ** 2, m.shape[2] ** 2
+    s = (m.transpose(1, 0, 2, 3).real + m.transpose(0, 1, 3, 2).real
+         + m.transpose(1, 0, 3, 2).imag - m.imag)
+    return s.reshape(n1, n2) / 2.0
 
 
 def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Schur matrix Re<G_a, X G_b Z^-1> over the Herm(d1) (+) Herm(d2) basis,
-    with G_a = E_a (x) I on the first block and I (x) E_a on the second.
+    """Schur matrix Re<G_a, X G_b Z^-1> in the coordinates of Herm(d1) (+)
+    Herm(d2) (_coords), with G_a = h_a (x) I on the first block and
+    I (x) h_a on the second.
 
-    In the matrix-unit basis each block is one contraction of X and Z^-1
+    Over matrix units each block is one contraction of X and Z^-1
     viewed as (d1, d2, d1, d2) tensors; e.g. tr((e_ij (x) I) X (e_pr (x) I)
     Z^-1) = sum_kq X[j,k,p,q] Z^-1[r,q,i,k]. Each contraction runs as one
-    matrix product of regrouped copies of X and Z^-1. The second
-    off-diagonal block is the transpose of the first because X and Z^-1 are
-    Hermitian.
+    matrix product of regrouped copies of X and Z^-1, and _in_coords reads
+    it into the coordinates. The second off-diagonal block is the transpose
+    of the first because X and Z^-1 are Hermitian.
     """
-    t1, t2, _ = _schur_data(d1, d2)
     xt = x.reshape(d1, d2, d1, d2)
     wt = zinv.reshape(d1, d2, d1, d2)
     n1, n2, d = d1 * d1, d2 * d2, d1 * d2
@@ -229,14 +213,11 @@ def _schur(x: np.ndarray, zinv: np.ndarray, d1: int, d2: int) -> np.ndarray:
     c11 = xt.transpose(0, 2, 1, 3).reshape(n1, n2) @ wt.transpose(3, 1, 0, 2).reshape(n2, n1)
     c12 = xt.transpose(0, 3, 1, 2).reshape(d, d) @ wt.transpose(3, 0, 2, 1).reshape(d, d)
     c22 = xt.transpose(1, 3, 0, 2).reshape(n2, n1) @ wt.transpose(2, 0, 3, 1).reshape(n1, n2)
-    m11 = c11.reshape(d1, d1, d1, d1).transpose(3, 0, 1, 2).reshape(n1, n1)
-    m12 = c12.reshape(d1, d2, d1, d2).transpose(2, 0, 1, 3).reshape(n1, n2)
-    m22 = c22.reshape(d2, d2, d2, d2).transpose(2, 0, 1, 3).reshape(n2, n2)
     schur = np.empty((n1 + n2, n1 + n2))
-    schur[:n1, :n1] = (t1 @ m11 @ t1.T).real
-    schur[:n1, n1:] = (t1 @ m12 @ t2.T).real
+    schur[:n1, :n1] = _in_coords(c11.reshape(d1, d1, d1, d1).transpose(3, 0, 1, 2))
+    schur[:n1, n1:] = _in_coords(c12.reshape(d1, d2, d1, d2).transpose(2, 0, 1, 3))
     schur[n1:, :n1] = schur[:n1, n1:].T
-    schur[n1:, n1:] = (t2 @ m22 @ t2.T).real
+    schur[n1:, n1:] = _in_coords(c22.reshape(d2, d2, d2, d2).transpose(2, 0, 1, 3))
     return (schur + schur.T) / 2.0
 
 
@@ -264,11 +245,10 @@ def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
 def _newton_solve(m: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     """One LU solve, with no refinement pass and no ridge, of the deflated,
     positive-definite Schur system m for the dual direction (dY1, dY2) given
-    the right-hand side pair (r1, r2); both travel in Herm-basis coordinates."""
+    the right-hand side pair (r1, r2); both travel in _coords."""
     d1, d2 = r1.shape[0], r2.shape[0]
-    t1, t2, _ = _schur_data(d1, d2)
-    dy = np.linalg.solve(m, np.concatenate([_coords(t1, r1), _coords(t2, r2)]))
-    return _from_coords(t1, dy[: d1 * d1], d1), _from_coords(t2, dy[d1 * d1 :], d2)
+    dy = np.linalg.solve(m, np.concatenate([_coords(r1), _coords(r2)]))
+    return _from_coords(dy[: d1 * d1], d1), _from_coords(dy[d1 * d1 :], d2)
 
 
 class _DenseCone:
@@ -276,9 +256,10 @@ class _DenseCone:
     are d1 x d1 and d2 x d2 ones; products are matrix products, symmetrized
     where the loop asks. Cholesky factors of X and Z give Z^-1 and the
     eigenvalue step-length tests (_step_len), and the Schur matrix lives on
-    Herm(d1) (+) Herm(d2) (_schur, _newton_solve). A support is an isometry,
-    compression and lift are congruences by it, and the spectral bounds of
-    a certificate operator come from LAPACK (ascending)."""
+    the coordinates of Herm(d1) (+) Herm(d2) (_schur, _newton_solve). A
+    support is an isometry, compression and lift are congruences by it, and
+    the spectral bounds of a certificate operator come from LAPACK
+    (ascending)."""
 
     mul = staticmethod(np.matmul)
     sym = staticmethod(linalg.herm)
@@ -287,7 +268,6 @@ class _DenseCone:
 
     def __init__(self, d1: int, d2: int):
         self.d1, self.d2 = d1, d2
-        self.kernel = _schur_data(d1, d2)[2]
 
     @staticmethod
     def inputs(problem: CouplingProblem):
@@ -351,7 +331,6 @@ class _DiagonalCone:
 
     def __init__(self, d1: int, d2: int):
         self.d1, self.d2 = d1, d2
-        self.kernel = np.concatenate([np.ones(d1), -np.ones(d2)]) / math.sqrt(d1 + d2)
 
     @staticmethod
     def inputs(problem: CouplingProblem):
@@ -549,7 +528,8 @@ def _solve_core(
     d1, d2 = cone.d1, cone.d2
     d = d1 * d2
     t = cone.trace(b1)
-    kernel = cone.kernel
+    # the Schur operator's kernel direction (I1, -I2), in the cone's form
+    kernel = np.concatenate([cone.eye(d1).ravel(), -cone.eye(d2).ravel()]) / math.sqrt(d1 + d2)
     m = kernel.size
     eye = cone.eye(d)
 

@@ -45,6 +45,13 @@ def test_hermitize_averages_and_rejects_skew():
         linalg.hermitize(np.array([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9, 0.0])
+def test_hermitize_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite or NaN tolerance would symmetrize this non-Hermitian matrix
+    with pytest.raises(InputError, match="tol must be finite and positive"):
+        linalg.hermitize(np.array([[0, 1], [0, 0]]), tol)
+
+
 def test_tensor_is_kron():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [-1j, 0]])

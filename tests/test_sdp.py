@@ -1,6 +1,7 @@
 """Tests for the interior-point solver and the lifting decision procedure."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,30 +47,23 @@ def point_problem():
 # internal machinery
 
 
-def test_herm_basis_is_orthonormal_and_complete():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 3, 4):
-        basis = sdp._herm_basis(n)
-        assert basis.shape == (n * n, n, n)
-        gram = np.einsum("aij,bij->ab", basis.conj(), basis)
-        assert np.allclose(gram, np.eye(n * n), atol=1e-14)
-        h = rand_hermitian(rng, n)
-        coeffs = np.einsum("aij,ij->a", basis.conj(), h)
-        assert np.allclose(coeffs.imag, 0.0, atol=1e-13)
-        rebuilt = np.einsum("a,aij->ij", coeffs, basis)
-        assert np.allclose(rebuilt, h, atol=1e-13)
-
-
-def test_hvec_round_trip_preserves_norm():
+def test_coords_are_an_isometry_onto_exactly_hermitian_matrices():
+    # (Re h + Im h).ravel() keeps the norm, and its inverse returns h and is
+    # exactly Hermitian in floating point, with no symmetrization
     rng = np.random.default_rng(1)
-    for n in (1, 2, 5):
-        t = sdp._herm_basis(n).reshape(n * n, n * n)
+    for n in (1, 2, 3, 4, 5):
         for _ in range(20):
             h = rand_hermitian(rng, n)
-            v = sdp._coords(t, h)
+            v = sdp._coords(h)
             assert v.shape == (n * n,)
             assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(h), rel=1e-12)
-            assert np.allclose(sdp._from_coords(t, v, n), h, atol=1e-14)
+            back = sdp._from_coords(v, n)
+            assert np.allclose(back, h, atol=1e-14)
+            assert np.array_equal(back, back.conj().T)
+            w = rng.normal(size=n * n)
+            g = sdp._from_coords(w, n)
+            assert np.array_equal(g, g.conj().T)
+            assert np.allclose(sdp._coords(g), w, atol=1e-14)
 
 
 def test_phi_matches_partial_traces():
@@ -93,34 +87,87 @@ def test_phi_star_adjoint_to_phi():
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+def _unit_matrices(n):
+    """The Hermitian n x n matrices whose coordinates are the unit vectors."""
+    return [sdp._from_coords(e, n) for e in np.eye(n * n)]
+
+
 def test_schur_kernel_direction_annihilates():
-    # the adjoint's one-dimensional kernel is span{(I, -I)}; the cached unit
-    # vector must reproduce it exactly in basis coordinates
-    for d1, d2 in [(2, 2), (2, 3), (3, 3)]:
-        t1, t2, kernel = sdp._schur_data(d1, d2)
-        k1 = sdp._from_coords(t1, kernel[: d1 * d1], d1)
-        k2 = sdp._from_coords(t2, kernel[d1 * d1 :], d2)
+    # the Schur operator's one-dimensional kernel is span{(I, -I)}, which the
+    # solve deflates along (I1.ravel(), -I2.ravel()) / sqrt(d1 + d2)
+    rng = np.random.default_rng(5)
+    for d1, d2 in [(1, 2), (2, 2), (2, 3), (3, 3)]:
+        kernel = np.concatenate([np.eye(d1).ravel(), -np.eye(d2).ravel()]) / np.sqrt(d1 + d2)
+        k1 = sdp._from_coords(kernel[: d1 * d1], d1)
+        k2 = sdp._from_coords(kernel[d1 * d1 :], d2)
+        assert np.allclose(k1, np.eye(d1) / np.sqrt(d1 + d2), atol=1e-15)
+        assert np.allclose(k2, -np.eye(d2) / np.sqrt(d1 + d2), atol=1e-15)
         assert np.linalg.norm(sdp._phi_star(k1, k2)) < 1e-13
         assert np.linalg.norm(kernel) == pytest.approx(1.0, abs=1e-14)
+        x = rand_density(rng, d1 * d2).mat + 0.1 * np.eye(d1 * d2)
+        zinv = linalg.herm(np.linalg.inv(rand_density(rng, d1 * d2).mat + 0.1 * np.eye(d1 * d2)))
+        schur = sdp._schur(x, zinv, d1, d2)
+        assert np.linalg.norm(schur @ kernel) < 1e-12 * np.linalg.norm(schur)
 
 
 @pytest.mark.parametrize("d1, d2", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
 def test_schur_matches_dense_kron_reference(d1, d2):
-    # reference: Re tr(G_a X G_b Z^-1) with every basis operator G built
-    # explicitly as E (x) I or I (x) E
+    # reference: Re tr(G_a X G_b Z^-1) with every operator G built
+    # explicitly as h (x) I or I (x) h, over the Hermitian matrices h whose
+    # coordinates are the unit vectors
     rng = np.random.default_rng(12)
     d = d1 * d2
     x = rand_density(rng, d).mat + 0.1 * np.eye(d)
     z = rand_density(rng, d).mat + 0.1 * np.eye(d)
     zinv = np.linalg.inv(z)
     zinv = (zinv + zinv.conj().T) / 2.0
-    basis1 = sdp._herm_basis(d1)
-    basis2 = sdp._herm_basis(d2)
-    gs = [np.kron(e, np.eye(d2)) for e in basis1] + [np.kron(np.eye(d1), e) for e in basis2]
+    gs = [np.kron(e, np.eye(d2)) for e in _unit_matrices(d1)]
+    gs += [np.kron(np.eye(d1), e) for e in _unit_matrices(d2)]
     ref = np.array([[np.trace(ga @ x @ gb @ zinv).real for gb in gs] for ga in gs])
     got = sdp._schur(x, zinv, d1, d2)
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
+def test_newton_direction_solves_the_kron_newton_equation(monkeypatch, d1, d2):
+    """Every dense-cone Newton direction (dY1, dY2) of a real solve satisfies
+    Phi(herm(X Phi*(dY) Z^-1)) + delta <K, dY> K = (R1, R2), with Phi* and
+    Phi the explicit kron operators Y1 (x) I + I (x) Y2 and its adjoint, K
+    the unit pair (I1, -I2) / sqrt(d1 + d2), and delta the deflation weight
+    max(1, tr S / (d1^2 + d2^2)) of the Schur matrix S; the trace of S does
+    not depend on the coordinates it is written in."""
+    iterates, checked = [], []
+    schur, newton = sdp._DenseCone.schur, sdp._DenseCone.newton
+
+    def recording_schur(self, x, zinv):
+        iterates.append((x, zinv, schur(self, x, zinv)))
+        return iterates[-1][2]
+
+    def checking_newton(m, r1, r2):
+        dy1, dy2 = newton(m, r1, r2)
+        x, zinv, s = iterates[-1]
+        i1, i2 = np.eye(d1), np.eye(d2)
+        dz = np.kron(dy1, i2) + np.kron(i1, dy2)
+        p1, p2 = linalg.partial_traces(linalg.herm(x @ dz @ zinv), d1, d2)
+        delta = max(1.0, float(np.trace(s)) / (d1 * d1 + d2 * d2))
+        along = (np.trace(dy1).real - np.trace(dy2).real) / (d1 + d2)
+        lhs = np.concatenate([(p1 + delta * along * i1).ravel(),
+                              (p2 - delta * along * i2).ravel()])
+        rhs = np.concatenate([r1.ravel(), r2.ravel()])
+        size = np.linalg.norm(m, 2) * math.hypot(np.linalg.norm(dy1), np.linalg.norm(dy2))
+        checked.append(np.linalg.norm(lhs - rhs) / (size + np.linalg.norm(rhs)))
+        return dy1, dy2
+
+    monkeypatch.setattr(sdp._DenseCone, "schur", recording_schur)
+    monkeypatch.setattr(sdp._DenseCone, "newton", staticmethod(checking_newton))
+    rng = np.random.default_rng(40 + d1 + 10 * d2)
+    for _ in range(2):
+        problem = CouplingProblem(rand_density(rng, d1), rand_density(rng, d2),
+                                  rand_subspace(rng, d1 * d2, max(1, d1 * d2 // 2)))
+        sdp.solve_coupling_sdp(problem)
+    assert len(checked) >= 8
+    assert max(checked) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +696,32 @@ def test_random_instances_produce_sound_proof_objects():
         assert max(full.gap, full.primal_residual, full.dual_residual) <= 1e-8
     # the sweep must exercise both branches to mean anything
     assert seen_exists >= 5 and seen_not >= 5
+
+
+def test_dense_cone_decides_at_d8_with_proof_objects_that_reverify(monkeypatch):
+    """d1 = d2 = 8 (D = 64), built as the dense6 benchmark inputs: a state of
+    rank 8 on a random span, with that span and its marginals (Exists by
+    construction), and full-rank random marginals with a random span of
+    rank 8 (NotExists). Both run on the dense cone, and each proof object
+    re-verifies through the public checks at the decision's tolerance."""
+    rng = np.random.default_rng(88)
+    d, big = 8, 64
+    vecs = rng.normal(size=(d, big)) + 1j * rng.normal(size=(d, big))
+    x = (vecs.T * rng.uniform(0.1, 1.0, size=d)) @ vecs.conj()
+    x /= np.trace(x).real
+    p1, p2 = linalg.partial_traces(x, d, d)
+    planted = CouplingProblem(DensityOperator(linalg.herm(p1)), DensityOperator(linalg.herm(p2)),
+                              Subspace.from_span(vecs))
+    random = CouplingProblem(rand_density(rng, d), rand_density(rng, d), rand_subspace(rng, big, d))
+    cones = record_cones(monkeypatch)
+    tol = 10 * sdp.EPS_SOLVE
+    found = sdp.check_quantum_lifting(planted)
+    assert found.exists
+    assert quantum.is_lifting_witness(found.witness, planted, tol)
+    refuted = sdp.check_quantum_lifting(random)
+    assert not refuted.exists
+    assert sdp.verify_dual_certificate(*refuted.certificate, random, tol)
+    assert [type(c) for c in cones] == [sdp._DenseCone, sdp._DenseCone]
 
 
 def test_not_exists_stops_no_later_than_the_full_solve():
