@@ -47,7 +47,26 @@ def point_problem():
 # internal machinery
 
 
-def test_coords_are_an_isometry_onto_exactly_hermitian_matrices():
+def test_herm_basis_is_orthonormal_and_complete():
+    # the matrices with unit coordinates, _from_coords(e_a), are an exactly
+    # Hermitian orthonormal basis of Herm(n), and _coords gives the expansion
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 4):
+        basis = np.stack([sdp._from_coords(e, n) for e in np.eye(n * n)])
+        assert basis.shape == (n * n, n, n)
+        for b in basis:
+            assert np.array_equal(b, b.conj().T)
+        gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+        assert np.allclose(gram, np.eye(n * n), atol=1e-14)
+        h = rand_hermitian(rng, n)
+        coeffs = np.einsum("aij,ij->a", basis.conj(), h)
+        assert np.allclose(coeffs.imag, 0.0, atol=1e-13)
+        assert np.allclose(coeffs.real, sdp._coords(h), atol=1e-13)
+        rebuilt = np.einsum("a,aij->ij", coeffs, basis)
+        assert np.allclose(rebuilt, h, atol=1e-13)
+
+
+def test_hvec_round_trip_preserves_norm():
     # (Re h + Im h).ravel() keeps the norm, and its inverse returns h and is
     # exactly Hermitian in floating point, with no symmetrization
     rng = np.random.default_rng(1)
