@@ -10,8 +10,8 @@ exhaustive subset scan kept as the brute-force oracle.
 Weights may be floats or fractions.Fraction; all routines are written so
 that rational inputs stay rational. The oracle and max-flow run both
 exactly, a float as the dyadic rational it is, on integers over the weights'
-common denominator; in max-flow floats only keep a 1e-9 slack on the totals
-and get float witnesses.
+common denominator; in max-flow floats only keep the ``errors.SLACK`` of
+1e-9 on the totals and get float witnesses.
 """
 
 from __future__ import annotations
@@ -21,20 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import InputError, check_threshold
+from .errors import SLACK, InputError, check_threshold
 
-WEIGHT_SLACK = 1e-12
+WEIGHT_SLACK = 1e-12  # round-off on a float sum of classical weights
 WITNESS_TOL = 1e-9
-SUM_TOL = 1e-12
-# the float slack 1e-9 on totals as its exact ratio, compared in integers
-_TOTAL_SLACK = (1e-9).as_integer_ratio()
+_TOTAL_SLACK = SLACK.as_integer_ratio()  # the slack on float totals, compared in integers
 
 
 def _check_entries(values, what: str) -> list:
-    """The one rule for weights and observables: finite and non-negative."""
+    """The one rule for weights and observables: finite and non-negative. A
+    rational is finite (and may overflow a float); any other number must pass isfinite."""
     out = list(values)
     for v in out:
-        if isinstance(v, float) and not math.isfinite(v):
+        if not isinstance(v, Rational) and not math.isfinite(v):
             raise InputError(f"{what} has a non-finite entry")
         if v < 0:
             raise InputError(f"{what} has a negative entry {v}")
@@ -249,7 +248,7 @@ def check_lifting_maxflow(mu1, mu2, relation: Relation) -> ClassicalVerdict:
     rational it is), so floats and fractions share one integer network,
     every comparison and so every augmenting path. Exact weights must have
     equal totals and saturate exactly; floats may differ in total, and fall
-    short of saturation, by 1e-9 (relative to |mu1| above 1). The witness
+    short of saturation, by SLACK (relative to |mu1| above 1). The witness
     comes back as Fractions for exact weights and as floats otherwise.
     """
     mu1 = check_subdistribution(mu1)
@@ -343,7 +342,7 @@ def check_statement_2prime(
     Validates that (y1, y2) satisfies y2[j] >= y1[i] - constraint_tol on
     relation pairs and y2[j] >= y1[i] - 1 - constraint_tol off them
     (raising an input error naming the first violated pair), then returns
-    whether sum_i mu1[i] y1[i] <= sum_j mu2[j] y2[j] + 1e-12. constraint_tol
+    whether sum_i mu1[i] y1[i] <= sum_j mu2[j] y2[j] + WEIGHT_SLACK. constraint_tol
     must be finite and positive, or 0: an exact check.
     """
     if constraint_tol != 0:
@@ -366,4 +365,4 @@ def check_statement_2prime(
                 )
     lhs = sum(a * b for a, b in zip(mu1, y1))
     rhs = sum(a * b for a, b in zip(mu2, y2))
-    return lhs <= rhs + SUM_TOL
+    return lhs <= rhs + WEIGHT_SLACK

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import classical, jsonio, linalg, quantum, reduction, sdp
-from .errors import InputError, NumericalError, check_threshold
+from .errors import SLACK, InputError, NumericalError, check_threshold
 from .quantum import CouplingProblem
 
 
@@ -112,7 +112,7 @@ def _witness_demo(args, d: int, witness, sub, description: str) -> dict:
         "witness": jsonio.matrix_to_json(witness.mat),
         "marginal_residuals": [r1, r2],
         "support_leakage": quantum.support_leakage(witness, sub),
-        "is_lifting_witness": quantum.is_lifting_witness(witness, problem, 1e-9),
+        "is_lifting_witness": quantum.is_lifting_witness(witness, problem, SLACK),
         "checker": jsonio.verdict_to_json(verdict),
     }
 
@@ -169,7 +169,7 @@ def _demo_no_lifting(args) -> dict:
     }
     if not verdict.exists:
         y1, y2 = verdict.certificate
-        out["certificate_valid"] = sdp.verify_dual_certificate(y1, y2, problem, 1e-7)
+        out["certificate_valid"] = sdp.verify_dual_certificate(y1, y2, problem)
         out["trace_gap"] = quantum.expectation(y1, rho1) - quantum.expectation(y2, rho2)
     return out
 
@@ -200,9 +200,9 @@ def _build_parser() -> _Parser:
     distributions = files("--mu1", "--mu2", "--relation")
     eps = group()
     eps.add_argument("--eps-solve", type=_threshold, default=sdp.EPS_SOLVE,
-                     help="target duality gap and residuals (default 1e-8)")
+                     help="target duality gap and residuals (default %(default)g)")
     eps.add_argument("--eps-decide", type=_threshold, default=sdp.EPS_DECIDE,
-                     help="decision threshold on tr(rho1) - optimum (default 1e-6)")
+                     help="decision threshold on tr(rho1) - optimum (default %(default)g)")
     tol = group("--tol", type=_threshold, default=quantum.DEFAULT_TOL)
     out = group("--out", metavar="FILE", help="write JSON here instead of stdout")
     exact = group("--exact", action="store_true",

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by the whole package.
 
-Two failure families exist and they map onto CLI exit codes:
-input errors (the caller handed us something malformed) exit 1,
-numerical failures (an iteration did not converge) exit 2.
-``check_threshold`` is the one rule for solver and verifier thresholds.
+Two failure families map onto CLI exit codes: input errors (the caller
+handed us something malformed) exit 1, numerical failures (an iteration
+did not converge) exit 2. ``check_threshold`` is the one rule for solver
+and verifier thresholds, ``SLACK`` the one round-off forgiven in caller data.
 """
 
 import math
@@ -27,6 +27,9 @@ class SolverFailure(NumericalError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+SLACK = 1e-9  # the round-off forgiven in caller data, read by name at each such check
 
 
 def check_threshold(name: str, value: float) -> float:

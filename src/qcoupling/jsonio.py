@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classical, linalg
 from .classical import ClassicalVerdict, Relation
-from .errors import InputError
+from .errors import SLACK, InputError
 from .quantum import DensityOperator
 from .sdp import LiftingVerdict
 
@@ -127,7 +127,7 @@ def parse_density(obj) -> DensityOperator:
     check = obj.get("trace_check", False)
     if type(check) is not bool:
         raise InputError(f'"trace_check" must be true or false, got {check!r}')
-    if check and abs(rho.trace - 1.0) > 1e-9:
+    if check and abs(rho.trace - 1.0) > SLACK:
         raise InputError(f"trace_check requested but tr = {rho.trace:.12g} != 1")
     return rho
 

@@ -16,7 +16,8 @@ Conventions used throughout the package:
   ``sdp``;
 * one support rule, ``support_mask``, serves states, the lifting solver's
   marginal compression and spans: a direction whose weight is at most
-  RANK_TOL times the largest weight counts as absent.
+  RANK_TOL times the largest weight counts as absent;
+* caller data is checked to ``errors.SLACK``, a projector to PROJECTOR_TOL.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_threshold
+from .errors import SLACK, InputError, NumericalError, check_threshold
 
-HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-8
 RANK_TOL = 1e-9  # the one support cut, relative to the largest weight
 
@@ -49,7 +49,7 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitize(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitize(m, tol: float = SLACK) -> np.ndarray:
     """Return the Hermitian part (M + M^dagger)/2.
 
     Rejects inputs whose anti-Hermitian part exceeds ``tol`` relative to
@@ -108,7 +108,7 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
     v = np.vdot(a, b)
-    if abs(v.imag) > 1e-9 * max(1.0, abs(v.real)):
+    if abs(v.imag) > SLACK * max(1.0, abs(v.real)):
         raise InputError(
             f"inner product has imaginary part {v.imag:.3e}; operands must be Hermitian"
         )
@@ -193,7 +193,7 @@ def _jacobi_eigvals(h: np.ndarray) -> np.ndarray:
     return np.diagonal(a).real
 
 
-def is_psd(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_psd(h: np.ndarray, tol: float = SLACK) -> bool:
     """True iff Hermitian h has smallest eigenvalue >= -tol, tol finite > 0."""
     return _is_psd(hermitize(h), check_threshold("tol", tol))
 

@@ -16,10 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericalError, check_threshold
+from .errors import SLACK, InputError, NumericalError, check_threshold
 
 DEFAULT_TOL = 1e-7
-PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,11 @@ class DensityOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = linalg.hermitize(self.mat, PSD_TOL)
-        if not linalg._is_psd(m, PSD_TOL):
+        m = linalg.hermitize(self.mat, SLACK)
+        if not linalg._is_psd(m, SLACK):
             raise InputError("density operator is not positive semidefinite")
         tr = float(np.trace(m).real)
-        if tr > 1.0 + PSD_TOL:
+        if tr > 1.0 + SLACK:
             raise InputError(f"density operator has trace {tr:.12g} > 1")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -161,7 +160,7 @@ def coupling_unitary(u) -> tuple[DensityOperator, linalg.Subspace]:
     """
     u = linalg.as_matrix(u)
     d = u.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-9 * max(1.0, float(np.sqrt(d))):
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > SLACK * max(1.0, float(np.sqrt(d))):
         raise InputError("matrix is not unitary")
     vecs = [np.kron(np.eye(d, dtype=np.complex128)[:, i], u[:, i]) for i in range(d)]
     rho = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -179,7 +178,7 @@ def coupling_identity_basis(
     whose choice within a degenerate eigenvalue is LAPACK's; another
     orthonormal eigenbasis may be passed in, and the resulting coupling
     genuinely depends on that choice. A basis that leaves rho off-diagonal
-    by more than 1e-9 (in norm) is bad input. The subspace spans the |ii>
+    by more than SLACK (in norm) is bad input. The subspace spans the |ii>
     whose weights p_i the support rule ``linalg.support_mask`` keeps.
     """
     if basis is None:
@@ -188,11 +187,11 @@ def coupling_identity_basis(
         vectors = linalg.as_matrix(basis)
         if vectors.shape[0] != rho.dim:
             raise InputError("basis dimension does not match the state")
-        if np.linalg.norm(vectors.conj().T @ vectors - np.eye(rho.dim)) > 1e-9:
+        if np.linalg.norm(vectors.conj().T @ vectors - np.eye(rho.dim)) > SLACK:
             raise InputError("basis columns must be orthonormal")
         rotated = vectors.conj().T @ rho.mat @ vectors
         weights = np.diagonal(rotated).real
-        if np.linalg.norm(rotated - np.diag(np.diagonal(rotated))) > 1e-9:
+        if np.linalg.norm(rotated - np.diag(np.diagonal(rotated))) > SLACK:
             raise InputError("basis does not diagonalize the state")
     d = rho.dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -204,7 +203,7 @@ def coupling_identity_basis(
             span.append(vv)
     # PSD by construction; clamping negative weights can still raise the trace
     tr = float(np.trace(out).real)
-    if tr > 1.0 + PSD_TOL:
+    if tr > 1.0 + SLACK:
         raise InputError(f"density operator has trace {tr:.12g} > 1")
     subspace = (
         linalg.Subspace.from_span(span) if span else linalg.Subspace.zero(d * d)
@@ -218,7 +217,7 @@ def coupling_tensor(rho1: DensityOperator, rho2: DensityOperator) -> DensityOper
     For a sub-normalized factor the product's marginals shrink by the
     missing trace, so it is not a coupling; such inputs are rejected.
     """
-    if abs(rho1.trace - 1.0) > 1e-9 or abs(rho2.trace - 1.0) > 1e-9:
+    if abs(rho1.trace - 1.0) > SLACK or abs(rho2.trace - 1.0) > SLACK:
         raise InputError(
             "tensor coupling requires normalized states: tr_2(rho1 x rho2) = "
             "tr(rho2) * rho1, so any trace deficit breaks the marginals"

@@ -17,10 +17,8 @@ import numpy as np
 
 from . import classical, linalg, quantum, sdp
 from .classical import Relation
-from .errors import InputError, NumericalError
+from .errors import SLACK, InputError, NumericalError
 from .quantum import CouplingProblem, DensityOperator
-
-_EXTRACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ def embed_joint(joint) -> DensityOperator:
 
 
 def extract_joint(rho: DensityOperator, m: int, n: int) -> list[list[float]]:
-    """Diagonal readout mu(i, j) = <ij| rho |ij>, clamped at the -1e-9 floor.
+    """Diagonal readout mu(i, j) = <ij| rho |ij>, clamped at the -SLACK floor.
 
     Off-diagonal structure is deliberately ignored: for embedded problems
     only the diagonal carries classical meaning, and it already inherits
@@ -74,9 +72,8 @@ def extract_joint(rho: DensityOperator, m: int, n: int) -> list[list[float]]:
     if rho.dim != m * n:
         raise InputError(f"state dimension {rho.dim} != m*n = {m * n}")
     diag = np.diagonal(rho.mat).real
-    low = float(diag.min()) if diag.size else 0.0
-    if low < -_EXTRACT_TOL:
-        raise InputError(f"diagonal entry {low:.3e} below the -1e-9 tolerance")
+    if diag.min() < -SLACK:
+        raise InputError(f"diagonal entry {diag.min():.3e} below the {-SLACK:g} floor")
     return [
         [max(float(diag[linalg.pair_index(i, j, n)]), 0.0) for j in range(n)]
         for i in range(m)
@@ -94,28 +91,29 @@ def cross_check(
 
     Classical Exists: the max-flow witness is embedded and must verify
     quantum-side. Quantum Exists: the SDP witness's diagonal is extracted
-    and must verify classical-side at 10*eps_solve. A translation failure
-    is a numerical failure, not a verdict. Max-flow validates the weights,
-    so the diagonal states, the embedded witness among them, are built
-    unchecked, from the weights converted to floats once.
+    and must verify classical-side. Both verify at 10*eps_solve; a failure
+    to translate is a numerical failure, not a verdict. Max-flow validates
+    the weights, so the diagonal states, the embedded witness among them,
+    are built unchecked, from the weights converted to floats once.
     """
     cv = classical.check_lifting_maxflow(mu1, mu2, relation)
     flo1, flo2 = [float(w) for w in mu1], [float(w) for w in mu2]
     state = lambda weights: DensityOperator._trusted(_diag(weights))
     problem = CouplingProblem(state(flo1), state(flo2), embed_relation(relation))
     qv = sdp.check_quantum_lifting(problem, eps_solve, eps_decide)
+    tol = sdp._VERIFY_FACTOR * eps_solve
 
     roundtrip = 0.0
     if cv.exists:
         embedded = state([w for r in cv.witness for w in r])
         roundtrip = max(quantum.marginal_deviation(embedded, problem.rho1, problem.rho2))
-        if not quantum.is_lifting_witness(embedded, problem, 10.0 * eps_solve):
+        if not quantum.is_lifting_witness(embedded, problem, tol):
             raise NumericalError("embedded classical witness failed quantum verification")
     if qv.exists:
         joint = extract_joint(qv.witness, relation.m, relation.n)
         ext1, ext2 = classical._sums(joint)
         roundtrip = max([roundtrip] + [abs(a - b) for a, b in zip(ext1 + ext2, flo1 + flo2)])
-        if not classical._is_witness(joint, flo1, flo2, relation, 10.0 * eps_solve):
+        if not classical._is_witness(joint, flo1, flo2, relation, tol):
             raise NumericalError("extracted quantum witness failed classical verification")
 
     tag = lambda exists: "exists" if exists else "not_exists"

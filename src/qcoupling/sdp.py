@@ -89,15 +89,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg, quantum
-from .errors import InputError, SolverFailure, check_threshold
+from .errors import SLACK, InputError, SolverFailure, check_threshold
 from .quantum import CouplingProblem, DensityOperator
 
 EPS_SOLVE = 1e-8
 EPS_DECIDE = 1e-6
-TRACE_MATCH_TOL = 1e-9
 
+_VERIFY_FACTOR = 10.0  # proof objects verify at 10*eps_solve, the Exists stop's residual
 _MAX_ITER = 200
 _BOUNDARY = 0.98
+_FLAT = 1e-16  # a direction eigenvalue above -_FLAT bounds no step
 _SIGMA_MIN, _SIGMA_MAX = 0.01, 0.9
 
 
@@ -232,7 +233,7 @@ def _alphas(lam) -> list[float]:
     """Largest steps along (dX, dZ) given the smallest eigenvalues lam of
     X^-1/2 dX X^-1/2 and Z^-1/2 dZ Z^-1/2: unbounded (inf) unless
     negative."""
-    return [math.inf if v >= -1e-16 else -1.0 / v for v in lam]
+    return [math.inf if v >= -_FLAT else -1.0 / v for v in lam]
 
 
 def _step_len(linv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> list[float]:
@@ -425,7 +426,7 @@ def _check_traces(problem: CouplingProblem) -> float:
     """tr(rho1), once it is checked to match tr(rho2)."""
     t1 = problem.rho1.trace
     t2 = problem.rho2.trace
-    if abs(t1 - t2) > TRACE_MATCH_TOL:
+    if abs(t1 - t2) > SLACK:
         raise InputError(
             f"marginal traces differ ({t1:.12g} vs {t2:.12g}); "
             "a coupling forces equal traces"
@@ -575,7 +576,7 @@ def _solve_core(
             # (solve_coupling_sdp states the rule)
             decided = dual_target is not None and (
                 (dres <= eps and dval < dual_target)
-                or (pres <= 10 * eps and t - pval <= eps and pval >= dual_target)
+                or (pres <= _VERIFY_FACTOR * eps and t - pval <= eps and pval >= dual_target)
             )
             if decided or (dres <= eps and gap <= eps and pres <= eps):
                 return snapshot(it)
@@ -696,9 +697,9 @@ def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: f
     their slack is at least 2/eta_eff, so the Schur complement across the
     cross block (norm at most ||P|| = 1) keeps slack eta_eff/2. The raise is
     sized from the pair's spectral norm, max(-lam_min, lam_max) of the
-    eigenvalue bounds (cone.bounds) that _shift reads as well. For
-    full-rank marginals that is Y1 + eta * I; else the norm grows like
-    1/margin.
+    eigenvalue bounds (cone.bounds) that _shift reads as well; it grows like
+    1/margin. With full-rank marginals I - V V^dagger is 0 only up to
+    round-off (about 1e-15 per entry on the dense cone), which big multiplies.
     """
     margin = t1 - sol.dual_value
     eta = margin / (4.0 * max(t1, 1.0))
@@ -778,7 +779,7 @@ def check_quantum_lifting(
     check_threshold("eps_decide", eps_decide)
     t1 = _check_traces(problem)
     d1, d2 = problem.dims
-    if t1 <= TRACE_MATCH_TOL:
+    if t1 <= SLACK:
         zero = DensityOperator._trusted(np.zeros((d1 * d2, d1 * d2), dtype=np.complex128))
         return LiftingVerdict(True, zero, None, IterateStats(0.0, 0.0, 0.0, 0.0, 0.0, 0))
     if eps_decide >= t1:
@@ -790,7 +791,7 @@ def check_quantum_lifting(
     target = t1 - eps_decide
     sol = solve_coupling_sdp(problem, eps_solve, dual_target=target)
     cone = _cone(problem)
-    tol = 10.0 * eps_solve
+    tol = _VERIFY_FACTOR * eps_solve
     # an early stop's primal iterate need not be feasible
     refuted = sol.dual_residual <= eps_solve and sol.dual_value < target
     if refuted or t1 - sol.primal_value > eps_decide:

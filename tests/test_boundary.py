@@ -10,9 +10,9 @@ import pytest
 
 from qcoupling import classical, jsonio, linalg, quantum, reduction, sdp
 from qcoupling.classical import Relation
-from qcoupling.errors import InputError
+from qcoupling.errors import SLACK, InputError
 from qcoupling.linalg import Subspace
-from qcoupling.quantum import PSD_TOL, CouplingProblem, DensityOperator
+from qcoupling.quantum import CouplingProblem, DensityOperator
 from qcoupling.reduction import EmbeddingReport
 
 from helpers import rand_density, rand_matched_rationals, rand_relation, rand_unitary
@@ -88,6 +88,60 @@ DOOR = {
     "parse-density-trace-check-integer": lambda: jsonio.parse_density(
         {"re": [[0.5]], "trace_check": 0}),
 }
+# numpy scalars are not Python floats, yet a NaN or infinite one is no weight
+for _name, _bad in {"nan": np.float32(NAN), "inf": np.float32(INF)}.items():
+    DOOR |= {
+        f"subdistribution-float32-{_name}": lambda b=_bad: classical.check_subdistribution(
+            [b, 0.1]),
+        f"maxflow-float32-{_name}": lambda b=_bad: classical.check_lifting_maxflow(
+            [b, 0.5], HALF, Relation.full(2, 2)),
+        f"statement-2prime-float32-{_name}": lambda b=_bad: classical.check_statement_2prime(
+            HALF, HALF, Relation.full(2, 2), [b, 0.0], [1.0, 1.0]),
+        f"level-sets-float32-{_name}": lambda b=_bad: classical.level_set_decomposition(
+            [b, 0.5]),
+    }
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+# Each door that forgives round-off in caller data reads errors.SLACK. Each
+# entry builds an input off by k * SLACK in the door's own measure: k = 2 is
+# rejected (in DOOR), k = 1/2 accepted (test_slack_doors_accept_half_the_slack).
+SLACK_DOOR = {
+    # anti-Hermitian part of norm k * SLACK, against max(1, ||M||_F) = 1
+    "density-hermiticity": lambda k: DensityOperator(
+        np.array([[0.5, k * SLACK / np.sqrt(2)], [0.0, 0.5]])),
+    "hermitize-default": lambda k: linalg.hermitize(
+        np.array([[0.5, k * SLACK / np.sqrt(2)], [0.0, 0.5]])),
+    "density-psd": lambda k: DensityOperator(np.diag([0.5, -k * SLACK])),
+    "density-trace": lambda k: DensityOperator(np.diag([0.5, 0.5 + k * SLACK])),
+    "inner-product-imaginary": lambda k: linalg.inner_product(
+        np.diag([1.0, 0.0]), np.diag([1.0 + 1j * k * SLACK, 0.0])),
+    "lifting-trace-match": lambda k: sdp.check_quantum_lifting(CouplingProblem(
+        DensityOperator(np.diag(HALF)), DensityOperator(np.diag([0.5, 0.5 - k * SLACK])),
+        Subspace.full(4))),
+    "maxflow-float-totals": lambda k: classical.check_lifting_maxflow(
+        HALF, [0.5, 0.5 - k * SLACK], Relation.full(2, 2)),
+    "parse-density-trace-check": lambda k: jsonio.parse_density(
+        {"re": [[0.5, 0.0], [0.0, 0.5 - k * SLACK]], "trace_check": True}),
+    "coupling-tensor-trace": lambda k: quantum.coupling_tensor(
+        DensityOperator(np.diag([0.5, 0.5 - k * SLACK])), quantum.uniform_density(2)),
+    # ||U^dagger U - I||_F = sqrt(2) * k * SLACK, against SLACK * sqrt(d)
+    "coupling-unitary": lambda k: quantum.coupling_unitary(
+        np.array([[1.0, k * SLACK], [0.0, 1.0]])),
+    "identity-basis-orthonormal": lambda k: quantum.coupling_identity_basis(
+        quantum.uniform_density(2), np.array([[1.0, k * SLACK / np.sqrt(2)], [0.0, 1.0]])),
+    # the rotated state's off-diagonal part has norm 0.2 * sqrt(2) * sin(2 theta)
+    "identity-basis-diagonalizes": lambda k: quantum.coupling_identity_basis(
+        DensityOperator(np.diag([0.7, 0.3])),
+        _rotation(np.arcsin(k * SLACK / (0.2 * np.sqrt(2))) / 2)),
+    # the floor is for the solver's own witnesses, which are built unchecked
+    "extract-joint-floor": lambda k: reduction.extract_joint(
+        DensityOperator._trusted(np.diag([0.5, 0.5, 0.0, -k * SLACK]).astype(complex)), 2, 2),
+}
+DOOR |= {f"slack-{name}": lambda f=f: f(2.0) for name, f in SLACK_DOOR.items()}
 
 # (diag(1, 0), diag(0, 1), span{|00>}) has no coupling at all, yet at an
 # infinite tolerance I/4 would pass as one: every public verifier rejects a
@@ -122,6 +176,11 @@ for _name, _tol in {"zero": 0.0, "negative": -1.0, "nan": NAN, "inf": INF}.items
 def test_public_entry_points_reject_invalid_input(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("door", SLACK_DOOR.values(), ids=SLACK_DOOR.keys())
+def test_slack_doors_accept_half_the_slack(door):
+    door(0.5)
 
 
 def _planted(rng, d, rank, k1=None, k2=None):
@@ -278,8 +337,8 @@ def test_unchecked_witnesses_pass_every_check_of_the_door():
         seen += 1
         w = verdict.witness.mat
         DensityOperator(w)
-        assert np.linalg.eigvalsh(w)[0] >= -PSD_TOL
-        assert np.trace(w).real <= 1.0 + PSD_TOL
+        assert np.linalg.eigvalsh(w)[0] >= -SLACK
+        assert np.trace(w).real <= 1.0 + SLACK
         assert quantum.is_lifting_witness(verdict.witness, problem, 10 * sdp.EPS_SOLVE)
     assert seen >= 25
 
