@@ -5,7 +5,7 @@ partial traces pinned: tr_2(X) = rho1, tr_1(X) = rho2, X >= 0. A lifting
 witness exists exactly when the optimum reaches tr(rho1). The dual
 minimizes <rho1, Y1> + <rho2, Y2> subject to Y1 (x) I + I (x) Y2 >= P_X,
 and a dual point with value below tr(rho1) converts into a separating
-certificate pair via Y1 -> I - Y1 followed by a positivity shift.
+certificate pair (see the end of this docstring).
 
 The solver is an infeasible-start primal-dual path-following method with
 Mehrotra-style adaptive centering. Each iteration eliminates the primal
@@ -25,10 +25,9 @@ object: the supports are read off the marginals' diagonals by the one
 support rule, compression is indexing, the diagonal cone keeps X and Z as
 length-D vectors and Y1, Y2 as length-d1 and -d2 vectors, its Schur matrix
 is the (d1+d2)-square [[diag(G 1), G], [G^T, diag(1^T G)]] with G = X/Z as
-a d1 x d2 array, its step length is the ratio test, the lift scatters into
-zeros, and the certificate is completed, transformed and shifted on the
-d1- and d2-vectors. No D x D matrix is formed before verification: only
-the returned witness and certificate become (diagonal) matrices, checked
+a d1 x d2 array, its step length is the ratio test, and the lift scatters
+into zeros. No D x D matrix is formed before verification: only the
+returned witness and certificate become (diagonal) matrices, checked
 against the original problem like any other. This is the
 fixed-point-algebra reduction of Gatermann & Parrilo ("Symmetry groups,
 semidefinite programs, and sums of squares", 2004) in its simplest case.
@@ -68,12 +67,13 @@ optimum from above (weak duality), and the optimum is also bounded by
 tr(rho1), since no coupling puts more mass in the subspace. A decision
 therefore stops at the first iterate that settles it, dual or primal, with
 its gap possibly far above eps (solve_coupling_sdp states the rule).
-Every NotExists dual is then completed to a strictly feasible full-space
-pair, with the iterate's own dual residual as its slack bound, at the cost
-of at most a quarter of its trace margin, and turned into a certificate in
-one pass over these trusted arrays; both the completion and the positivity
-shift read the pair's eigenvalue bounds (cone.bounds), the one spectral
-routine of a certificate. An Exists witness is the stopping
+On the dense cone a NotExists certificate is the stopping dual completed
+to a strictly feasible full-space pair (spending at most a quarter of its
+trace margin; its dual residual bounds the slack), condition-A transformed,
+shifted to PSD and rescaled, in one pass with eigvalsh as its one spectral
+routine. On the diagonal cone it is Strassen's 0/1 pair (1_S, 1_R(S)) for
+a sub-level set S of the dual y1 with rho1(S) > rho2(R(S)), whose trace gap
+is that deficiency. An Exists witness is the stopping
 primal iterate, lifted and rescaled to trace tr(rho1): every iterate is
 positive definite, so the witness is a state by construction and is never
 diagonalized. A verdict keeps its proof object and the stopping iterate's
@@ -258,9 +258,7 @@ class _DenseCone:
     where the loop asks. Cholesky factors of X and Z give Z^-1 and the
     eigenvalue step-length tests (_step_len), and the Schur matrix lives on
     the coordinates of Herm(d1) (+) Herm(d2) (_schur, _newton_solve). A
-    support is an isometry, compression and lift are congruences by it, and
-    the spectral bounds of a certificate operator come from LAPACK
-    (ascending)."""
+    support is an isometry, and compression and lift are congruences by it."""
 
     mul = staticmethod(np.matmul)
     sym = staticmethod(linalg.herm)
@@ -285,15 +283,6 @@ class _DenseCone:
     @staticmethod
     def lift(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         return linalg.herm(v @ m @ v.conj().T)
-
-    @staticmethod
-    def projector(v: np.ndarray) -> np.ndarray:
-        return v @ v.conj().T
-
-    @staticmethod
-    def bounds(y: np.ndarray) -> tuple[float, float]:
-        w = np.linalg.eigvalsh(y)
-        return float(w[0]), float(w[-1])
 
     @staticmethod
     def matrix(m: np.ndarray) -> np.ndarray:
@@ -323,9 +312,8 @@ class _DiagonalCone:
     ones, and every product is elementwise. With G = X/Z as a d1 x d2
     array, the Schur matrix is [[diag(G 1), G], [G^T, diag(1^T G)]], and a
     step length is the ratio test min(dv/v). A support is a boolean mask,
-    compression is indexing and a lift scatters into zeros; a diagonal
-    operator's spectral bounds are its extreme entries, so the norm a
-    certificate is sized by is its largest |entry|. Only a proof object
+    compression is indexing and a lift scatters into zeros. A NotExists
+    certificate is the 0/1 Hall pair (_hall_pair); only a proof object
     becomes a (diagonal) matrix."""
 
     mul = staticmethod(np.multiply)
@@ -352,14 +340,6 @@ class _DiagonalCone:
         out = np.zeros(mask.size)
         out[mask] = v
         return out
-
-    @staticmethod
-    def projector(mask: np.ndarray) -> np.ndarray:
-        return mask
-
-    @staticmethod
-    def bounds(y: np.ndarray) -> tuple[float, float]:
-        return float(y.min()), float(y.max())
 
     @staticmethod
     def matrix(v: np.ndarray) -> np.ndarray:
@@ -629,16 +609,15 @@ def condition_a_transform(y1: np.ndarray, y2: np.ndarray):
     return _eye(y1.shape[0]) - y1, linalg.hermitize(y2)
 
 
-def _shift(cone, y1: np.ndarray, y2: np.ndarray):
-    """The positivity shift on trusted arrays in the cone's form, plus the
-    operator norm of the shifted pair: both are PSD, so it is the largest
-    eigenvalue less lam, read off the same spectral bounds (cone.bounds,
-    which _complete_dual reads too). A construction step, not a check, so
-    on the dense cone its spectra come from LAPACK."""
-    (lo1, hi1), (lo2, hi2) = cone.bounds(y1), cone.bounds(y2)
-    lam = min(lo1, lo2)
-    norm = max(hi1, hi2) - lam
-    return y1 - lam * cone.eye(y1.shape[0]), y2 - lam * cone.eye(y2.shape[0]), lam, norm
+def _shift(y1: np.ndarray, y2: np.ndarray):
+    """The positivity shift on a trusted dense pair, plus the operator norm
+    of the shifted pair: both are PSD, so it is the largest eigenvalue less
+    lam, read off the same LAPACK spectra that _complete_dual reads. A
+    construction step, not a check."""
+    w1, w2 = np.linalg.eigvalsh(y1), np.linalg.eigvalsh(y2)
+    lam = min(w1[0], w2[0])
+    norm = max(w1[-1], w2[-1]) - lam
+    return y1 - lam * _eye(y1.shape[0]), y2 - lam * _eye(y2.shape[0]), lam, norm
 
 
 def shift_positive(y1: np.ndarray, y2: np.ndarray):
@@ -648,7 +627,7 @@ def shift_positive(y1: np.ndarray, y2: np.ndarray):
     Y1 (x) I - I (x) Y2 is unchanged, so the separating inequality is
     preserved exactly; with equal traces the expectation margin is too.
     """
-    return _shift(_DenseCone, linalg.hermitize(y1), linalg.hermitize(y2))[:3]
+    return _shift(linalg.hermitize(y1), linalg.hermitize(y2))[:3]
 
 
 def _margin(y1: np.ndarray, y2: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
@@ -685,9 +664,9 @@ def _verify(y1: np.ndarray, y2: np.ndarray, problem: CouplingProblem, tol: float
     return linalg._is_psd(diff, tol) and _margin(y1, y2, problem.rho1.mat, problem.rho2.mat) > tol
 
 
-def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
-    """Complete a lifted dual pair, in the cone's form with the supports v1,
-    v2 of the marginals, to a strictly feasible full-space one.
+def _complete_dual(sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: float):
+    """Complete a lifted dense dual pair, with the support isometries v1, v2
+    of the marginals, to a strictly feasible full-space one.
 
     The solve keeps Z positive definite with phi*(y) - A = Z - R_d on the
     support block, so that block's slack is at least -dual_residual. The
@@ -697,9 +676,9 @@ def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: f
     their slack is at least 2/eta_eff, so the Schur complement across the
     cross block (norm at most ||P|| = 1) keeps slack eta_eff/2. The raise is
     sized from the pair's spectral norm, max(-lam_min, lam_max) of the
-    eigenvalue bounds (cone.bounds) that _shift reads as well; it grows like
-    1/margin. With full-rank marginals I - V V^dagger is 0 only up to
-    round-off (about 1e-15 per entry on the dense cone), which big multiplies.
+    LAPACK spectra, read as _shift reads them; it grows like 1/margin. With
+    full-rank marginals I - V V^dagger is 0 only up to round-off (about
+    1e-15 per entry), which big multiplies.
     """
     margin = t1 - sol.dual_value
     eta = margin / (4.0 * max(t1, 1.0))
@@ -711,33 +690,53 @@ def _complete_dual(cone, sol: SdpSolution, v1: np.ndarray, v2: np.ndarray, t1: f
             sol,
         )
     y1, y2 = sol.dual_y1, sol.dual_y2
-    norm = max(max(-lo, hi) for lo, hi in (cone.bounds(y1), cone.bounds(y2)))
+    norm = max(abs(np.linalg.eigvalsh(y)).max() for y in (y1, y2))
     big = 1.0 + norm + 2.0 / eta_eff
-    p1, p2 = cone.projector(v1), cone.projector(v2)
-    y1 = cone.sym(y1 + eta * p1 + big * (cone.eye(y1.shape[0]) - p1))
-    y2 = cone.sym(y2 + big * (cone.eye(y2.shape[0]) - p2))
+    p1, p2 = v1 @ v1.conj().T, v2 @ v2.conj().T
+    y1 = linalg.herm(y1 + eta * p1 + big * (_eye(y1.shape[0]) - p1))
+    y2 = linalg.herm(y2 + big * (_eye(y2.shape[0]) - p2))
     return y1, y2
+
+
+def _hall_pair(y1, a, b1, b2, mask1):
+    """The 0/1 certificate (diag(1_S), diag(1_R(S))) of an exactly diagonal
+    problem, from the lifted dual y1, the diagonals a, b1, b2 of P, rho1,
+    rho2 and the support mask1 of rho1. Each prefix of supp(rho1) sorted by
+    y1 ascending is a super-level set of the transformed Y1 = const - y1; S
+    is the one with the largest deficiency rho1(S) - rho2(R(S)), the pair's
+    trace gap, with R(S) read off the pairs the support rule keeps on a. By
+    the level-set identity behind Statement 2', S violates Hall's condition
+    whenever the dual refutes every coupling."""
+    order = np.flatnonzero(mask1)[np.argsort(y1[mask1], kind="stable")]
+    rel = linalg.support_mask(a).reshape(b1.size, b2.size)
+    reach = np.logical_or.accumulate(rel[order], axis=0)
+    k = int(np.argmax(np.cumsum(b1[order]) - reach @ b2))
+    s = np.zeros(b1.size, dtype=np.complex128)
+    s[order[: k + 1]] = 1.0
+    return np.diag(s), np.diag(reach[k].astype(np.complex128))
 
 
 def _refute(
     cone, sol: SdpSolution, problem: CouplingProblem, t1: float, eps_decide: float, tol: float
 ) -> LiftingVerdict:
     """The NotExists verdict carried by sol's dual, once its certificate
-    verifies at tol; SolverFailure (carrying sol) otherwise. The certificate
-    is built in one pass over trusted arrays in the cone's form: completed,
-    condition-A transformed, shifted to PSD, and rescaled to operator norm 1
-    when its scaled trace gap still exceeds both eps_decide and tol. Only
-    then does it become a pair of matrices, verified against the problem."""
-    _, b1, b2, v1, v2 = cone.inputs(problem)
-    try:
-        y1, y2 = _complete_dual(cone, sol, v1, v2, t1)
-        # the condition-A transform Y1 -> I - Y1, then the positivity shift
-        y1, y2, _, norm = _shift(cone, cone.eye(y1.shape[0]) - y1, y2)
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
-    if norm > 1.0 and _margin(y1, y2, b1, b2) / norm > max(eps_decide, tol):
-        y1, y2 = y1 / norm, y2 / norm
-    y1, y2 = cone.matrix(y1), cone.matrix(y2)
+    verifies at tol; SolverFailure (carrying sol) otherwise. On the diagonal
+    cone the certificate is the 0/1 Hall pair; on the dense cone it is
+    completed, condition-A transformed, shifted to PSD and rescaled to
+    operator norm 1 when its scaled trace gap still exceeds both eps_decide
+    and tol, all on trusted matrices."""
+    a, b1, b2, v1, v2 = cone.inputs(problem)
+    if cone is _DiagonalCone:
+        y1, y2 = _hall_pair(sol.dual_y1, a, b1, b2, v1)
+    else:
+        try:
+            y1, y2 = _complete_dual(sol, v1, v2, t1)
+            # the condition-A transform Y1 -> I - Y1, then the positivity shift
+            y1, y2, _, norm = _shift(_eye(y1.shape[0]) - y1, y2)
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"certificate linear algebra broke down ({err})", sol) from err
+        if norm > 1.0 and _margin(y1, y2, b1, b2) / norm > max(eps_decide, tol):
+            y1, y2 = y1 / norm, y2 / norm
     if not _verify(y1, y2, problem, tol):
         raise SolverFailure("dual certificate failed verification at 10*eps_solve", sol)
     return LiftingVerdict(False, None, (y1, y2), sol.stats())
@@ -761,14 +760,14 @@ def check_quantum_lifting(
     at 10*eps_solve (``quantum.is_lifting_witness``), the primal residual
     the stop rule allows. If not, the certificate of the same solve is
     tried, and NotExists is decided when it verifies; otherwise the verdict
-    degrades to a solver failure. NotExists returns a certificate built
-    from the stopping dual iterate in one pass: it is first completed to a
-    strictly feasible full-space pair, at the cost of at most a quarter of
-    its trace margin and sized from the pair's eigenvalue bounds, then put
-    through the condition-A transform and the positivity shift, and
-    rescaled to operator norm at most 1 when the scaled trace gap still
-    exceeds both eps_decide and 10*eps_solve; ``verify_dual_certificate``'s
-    test, less its input checks, verifies it at 10*eps_solve. The verdict's
+    degrades to a solver failure. A NotExists certificate comes from the
+    stopping dual: on an exactly diagonal problem it is the 0/1 pair
+    (1_S, 1_R(S)) of a set S violating Hall's condition, whose trace gap is
+    rho1(S) - rho2(R(S)); otherwise it is completed to a strictly feasible
+    full-space pair, condition-A transformed, shifted to PSD, and rescaled
+    to operator norm 1 when the scaled trace gap still exceeds both
+    eps_decide and 10*eps_solve. ``verify_dual_certificate``'s test, less
+    its input checks, verifies either at 10*eps_solve. The verdict's
     diagnostics are the stopping iterate's numbers only. Both thresholds
     must be finite and positive (InputError). The zero state couples with
     itself inside any subspace, via the zero witness. Otherwise eps_decide

@@ -260,22 +260,26 @@ def test_demo_unitary(tmp_path, capsys):
     assert rc == 1 and "--file" in captured.err
 
 
-def test_demo_no_lifting(capsys):
-    rc, out = run_json(capsys, ["demo", "no-lifting"])
+def _assert_hall_pair_demo(capsys, argv):
+    # the input is exactly diagonal, so the certificate is the 0/1 Hall pair
+    # S = {0}, R(S) = {0}: diag(1, 0) twice, with trace gap 1
+    rc, out = run_json(capsys, ["demo", "no-lifting", *argv])
     assert rc == 0
     assert out["checker"]["verdict"] == "not_exists"
     assert out["certificate_valid"] is True
-    assert out["trace_gap"] > 1e-6
+    assert out["trace_gap"] == 1.0
+    for k in ("y1", "y2"):
+        assert out["checker"]["certificate"][k]["re"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
+def test_demo_no_lifting(capsys):
+    _assert_hall_pair_demo(capsys, [])
 
 
 def test_demo_no_lifting_at_a_coarse_eps_solve(capsys):
-    # the verification tolerance 10 * eps_solve = 0.1 exceeds the trace gap
-    # left after rescaling to norm one, so the certificate stays unscaled
-    rc, out = run_json(capsys, ["demo", "no-lifting", "--eps-solve", "0.01"])
-    assert rc == 0
-    assert out["checker"]["verdict"] == "not_exists"
-    assert out["certificate_valid"] is True
-    assert out["trace_gap"] > 0.1
+    # verification demands a trace gap above 10 * eps_solve = 0.1; the 0/1
+    # pair is the same at any eps_solve
+    _assert_hall_pair_demo(capsys, ["--eps-solve", "0.01"])
 
 
 def test_eps_decide_at_or_above_the_trace_exits_one(tmp_path, capsys):

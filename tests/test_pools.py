@@ -9,6 +9,7 @@ solve runs on.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
 from helpers import record_cones, record_eigen_calls  # noqa: E402
-from qcoupling import sdp  # noqa: E402
+from qcoupling import reduction, sdp  # noqa: E402
+from qcoupling.quantum import CouplingProblem  # noqa: E402
 
 SEED = 1
 
@@ -78,3 +80,38 @@ def test_degenerate_inputs_keep_the_dense_cone_even_at_d_one(tmp_path, monkeypat
         assert [kind for kind, _ in cones] == [sdp._DenseCone]
         sizes += [d for _, d in cones]
     assert 1 in sizes and max(sizes) > 1
+
+
+def test_embedded_certificates_are_the_hall_pair(tmp_path):
+    """Every NotExists verdict on an embedded seed-1 pool input carries the
+    0/1 pair (diag(1_S), diag(1_R(S))) with S inside supp(mu1), whose exact
+    deficiency mu1(S) - mu2(R(S)) is positive; with one entry of Y2 on R(S)
+    zeroed, the pair no longer separates."""
+    workload = workloads.WORKLOADS["embedded3x3"](str(tmp_path))
+    refuted = 0
+    for inst in workload.make_pool(np.random.default_rng(SEED)):
+        mu1, mu2, rel = inst.data
+        if sum(mu1) == 0:
+            continue
+        problem = CouplingProblem(
+            reduction.embed_distribution(mu1),
+            reduction.embed_distribution(mu2),
+            reduction.embed_relation(rel),
+        )
+        verdict = sdp.check_quantum_lifting(problem)
+        if verdict.exists:
+            continue
+        refuted += 1
+        y1, y2 = verdict.certificate
+        s = {i for i in range(3) if y1[i, i] == 1.0}
+        image = {j for i, j in rel.pairs if i in s}
+        assert np.array_equal(y1, np.diag([float(i in s) for i in range(3)]))
+        assert np.array_equal(y2, np.diag([float(j in image) for j in range(3)]))
+        assert all(mu1[i] > 0 for i in s)
+        assert sum((Fraction(mu1[i]) for i in s), Fraction(0)) > sum(
+            (Fraction(mu2[j]) for j in image), Fraction(0))
+        for j in image:
+            cut = y2.copy()
+            cut[j, j] = 0.0
+            assert not sdp.verify_dual_certificate(y1, cut, problem, 10 * sdp.EPS_SOLVE)
+    assert refuted == 658

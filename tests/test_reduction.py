@@ -7,7 +7,7 @@ import pytest
 
 from qcoupling import classical, linalg, quantum, reduction, sdp
 from qcoupling.classical import Relation
-from qcoupling.errors import InputError
+from qcoupling.errors import InputError, SolverFailure
 from qcoupling.quantum import CouplingProblem, DensityOperator
 
 from helpers import all_relations, rand_matched_rationals, rand_relation
@@ -241,3 +241,76 @@ def test_dual_certificate_diagonal_transfers_to_lemma_system():
 def test_embedding_report_fields_consistent():
     report = reduction.cross_check(HALF, HALF, Relation.equality(2))
     assert report.agreement == (report.classical_verdict == report.quantum_verdict)
+
+
+def test_deficiency_just_above_tol_decides_with_the_hall_pair():
+    # delta = mu1({0}) - mu2({1}) = 1.28e-7 exceeds tol = 1e-7 by less than a
+    # completion would spend, so the completed dense-style certificate failed
+    # and the decision was a witness-cleanup SolverFailure; the 0/1 pair
+    # keeps the whole deficiency as its trace gap
+    mu1 = [0.0971250823382149, 0.9028749176617852]
+    mu2 = [0.9028750453668901, 0.09712495463310994]
+    rel = Relation.from_pairs(2, 2, [(0, 1), (1, 0)])
+    problem = embedded_problem(mu1, mu2, rel)
+    verdict = sdp.check_quantum_lifting(problem)
+    assert not verdict.exists
+    y1, y2 = verdict.certificate
+    assert np.array_equal(y1, np.diag([1.0, 0.0])) and np.array_equal(y2, np.diag([0.0, 1.0]))
+    assert Fr(mu1[0]) - Fr(mu2[1]) > Fr(10 * sdp.EPS_SOLVE)
+
+
+def _near_threshold_inputs(count):
+    """Seeded diagonal inputs near the Hall threshold: m, n in [2, 5], each
+    pair in R with probability 1/2, a random joint on R with 20 % of its
+    entries zeroed whose marginals are mu1 and mu2, then mass 10^U(-8, -3)
+    moved between two rows of mu1."""
+    rng = np.random.default_rng(7)
+    while count:
+        m, n = (int(v) for v in rng.integers(2, 6, size=2))
+        rel = rng.random((m, n)) < 0.5
+        joint = rng.random((m, n)) * rel * (rng.random((m, n)) >= 0.2)
+        if joint.sum() == 0.0:
+            continue
+        joint /= joint.sum()
+        mu1, mu2 = joint.sum(axis=1), joint.sum(axis=0)
+        i, k = rng.choice(m, size=2, replace=False)
+        moved = min(10.0 ** rng.uniform(-8, -3), mu1[i])
+        mu1[i] -= moved
+        mu1[k] += moved
+        count -= 1
+        yield mu1.tolist(), mu2.tolist(), Relation.from_pairs(m, n, zip(*np.nonzero(rel)))
+
+
+def _hall_deficiency(mu1, mu2, rel):
+    """max over S of mu1(S) - mu2(R(S)), exact in Fractions of the weights."""
+    w1, w2 = [Fr(w) for w in mu1], [Fr(w) for w in mu2]
+    best = Fr(0)
+    for bits in range(1, 1 << rel.m):
+        s = {i for i in range(rel.m) if bits >> i & 1}
+        image = {j for i, j in rel.pairs if i in s}
+        best = max(best, sum(w1[i] for i in s) - sum(w2[j] for j in image))
+    return best
+
+
+def test_near_threshold_diagonal_sweep_agrees_with_hall():
+    """3 000 diagonal inputs whose Hall deficiency delta straddles the
+    verification tolerance tol = 10*eps_solve. Every decided verdict is
+    NotExists iff delta > tol. The 0/1 certificate has trace gap delta, so
+    no input above tol is lost; a witness-cleanup failure is left only
+    where delta lies within eps_solve of tol, where an eps_solve-optimal
+    witness leaks more than tol and the certificate's gap is at most tol.
+    The one linear-algebra breakdown is a known LP failure (CHANGES.md)."""
+    eps, tol = sdp.EPS_SOLVE, 10 * sdp.EPS_SOLVE
+    failures = {}
+    for k, (mu1, mu2, rel) in enumerate(_near_threshold_inputs(3000)):
+        delta = _hall_deficiency(mu1, mu2, rel)
+        try:
+            verdict = sdp.check_quantum_lifting(embedded_problem(mu1, mu2, rel))
+        except SolverFailure as err:
+            failures[k] = str(err)
+            if "witness cleanup" in str(err):
+                assert abs(delta - Fr(tol)) < eps, (k, float(delta))
+            continue
+        assert verdict.exists == (delta <= Fr(tol)), (k, float(delta))
+    assert set(failures) <= {821, 2767}
+    assert "linear algebra broke down" in failures.get(821, "linear algebra broke down")

@@ -480,7 +480,7 @@ def _public_certificate(sol, problem):
     rescale's operator norm taken by SVD."""
     t1 = problem.rho1.trace
     v1, v2 = problem.rho1.support_isometry, problem.rho2.support_isometry
-    y1, y2 = sdp._complete_dual(sdp._DenseCone, sol, v1, v2, t1)
+    y1, y2 = sdp._complete_dual(sol, v1, v2, t1)
     y1, y2 = sdp.condition_a_transform(y1, y2)
     y1, y2, _ = sdp.shift_positive(y1, y2)
     norm = max(np.linalg.norm(y1, 2), np.linalg.norm(y2, 2))
@@ -617,10 +617,19 @@ def test_thresholds_must_be_finite_and_positive(value):
 
 
 def test_certificate_keeps_its_scale_when_rescaling_would_fail_verification():
-    # at eps_solve = 0.01 verification demands a trace gap above 0.1; the
-    # completed pair has gap about 0.7 but norm about 18, so scaling it to norm
-    # one would leave a gap of about 0.04 and reject a valid certificate
-    problem = point_problem()
+    # point_problem under R (x) R, R a real 0.3-rad rotation: a dense input,
+    # so the certificate is completed, shifted and rescaled. At eps_solve =
+    # 0.01 verification demands a trace gap above 0.1; the completed pair has
+    # norm about 18, so scaling it to norm one would leave a gap below that
+    # and reject a valid certificate
+    c, s = math.cos(0.3), math.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    problem = CouplingProblem(
+        DensityOperator(r @ np.diag([1.0, 0.0]) @ r.T),
+        DensityOperator(r @ np.diag([0.0, 1.0]) @ r.T),
+        Subspace.from_span([np.kron(r, r)[:, 0]]),
+    )
+    assert not problem.diagonal
     verdict = sdp.check_quantum_lifting(problem, eps_solve=0.01)
     assert not verdict.exists
     y1, y2 = verdict.certificate
@@ -1029,23 +1038,16 @@ def test_full_rank_certificates_are_strictly_feasible():
 
 def test_completion_refuses_a_margin_the_dual_residual_can_eat():
     """A margin of at most 4 * dual_residual leaves no provable slack, so the
-    completion raises SolverFailure carrying the solution it was given, on
-    either cone."""
+    dense completion raises SolverFailure carrying the solution it was
+    given."""
     d = 2
     numbers = (0.0, 0.9, 0.9, 0.0, 0.025, 7)
     eye = np.eye(d, dtype=np.complex128)
-    dense = sdp.SdpSolution(np.eye(d * d) / (d * d), 0.45 * eye, 0.45 * eye, *numbers)
-    y = np.full(d, 0.45)
-    diagonal = sdp.SdpSolution(np.full(d * d, 1.0 / (d * d)), y, y, *numbers)
-    full_support = np.ones(d, dtype=bool)
-    for cone, sol, support in (
-        (sdp._DenseCone, dense, eye),
-        (sdp._DiagonalCone, diagonal, full_support),
-    ):
-        assert 1.0 - sol.dual_value <= 4.0 * sol.dual_residual
-        with pytest.raises(SolverFailure, match="margin") as info:
-            sdp._complete_dual(cone, sol, support, support, 1.0)
-        assert info.value.best is sol
+    sol = sdp.SdpSolution(np.eye(d * d) / (d * d), 0.45 * eye, 0.45 * eye, *numbers)
+    assert 1.0 - sol.dual_value <= 4.0 * sol.dual_residual
+    with pytest.raises(SolverFailure, match="margin") as info:
+        sdp._complete_dual(sol, eye, eye, 1.0)
+    assert info.value.best is sol
 
 
 # ---------------------------------------------------------------------------
